@@ -1,0 +1,89 @@
+"""Golden prediction rows: refactors of the frame path must not move any output.
+
+Two small 160x120 recordings (RGB24 raw, and a GRAY8 PGM directory whose
+scene jumps mid-stream) run through ``rrvision run`` in every profile mode
+x signal fraction x re-estimation period below. The rows it writes must
+equal the committed files under ``tests/golden/`` byte for byte.
+
+To rewrite the files after an intended output change, run
+``PYTHONPATH=src python3 tests/test_golden.py`` and say why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from rrvision.cli import main
+
+from conftest import make_recording
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+RECORDINGS = {
+    "rgb24_raw": dict(pixel_format="RGB24", container="raw", texture_seed=41),
+    "gray8_pgm_jump": dict(
+        pixel_format="GRAY8", container="images", texture_seed=42, roi_jump_at_s=12.0
+    ),
+}
+MODES = ("edges", "full_roi")
+FRACTIONS = ("0.05", "0.30")
+REEST_S = ("20", "5")
+DURATION_S = 24.0
+
+CASES = [
+    (rec, mode, frac, reest)
+    for rec in RECORDINGS
+    for mode in MODES
+    for frac in FRACTIONS
+    for reest in REEST_S
+]
+
+
+def case_name(rec: str, mode: str, frac: str, reest: str) -> str:
+    return f"{rec}_{mode}_{frac}_reest{reest}"
+
+
+def render(root: Path) -> dict:
+    return {
+        name: make_recording(root / name, duration_s=DURATION_S, **params)
+        for name, params in RECORDINGS.items()
+    }
+
+
+def predictions(ds, mode: str, frac: str, reest: str, out: Path) -> str:
+    code = main(
+        [
+            "run", str(ds.video_path), "--landmarks", str(ds.landmarks_path),
+            "--profile-mode", mode, "--top-frac", frac, "--reest-s", reest,
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    return out.read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def recordings(tmp_path_factory):
+    return render(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case_name(*c) for c in CASES])
+def test_predictions_match_golden(case, recordings, tmp_path):
+    rec, mode, frac, reest = case
+    got = predictions(recordings[rec], mode, frac, reest, tmp_path / "out.csv")
+    want = (GOLDEN_DIR / f"{case_name(*case)}.csv").read_text(encoding="utf-8")
+    assert got == want
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        recs = render(Path(tmp))
+        for case in CASES:
+            name = case_name(*case)
+            rows = predictions(recs[case[0]], *case[1:], Path(tmp) / "out.csv")
+            (GOLDEN_DIR / f"{name}.csv").write_text(rows, encoding="utf-8")
+            print(f"wrote {name}.csv")
