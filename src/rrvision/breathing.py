@@ -37,9 +37,6 @@ class RRPrediction:
     n_peaks: int
     valid: bool
 
-    def as_row(self) -> tuple:
-        return (self.t, self.rr_bpm, self.group_index, self.n_peaks, self.valid)
-
 
 def detrend(signal: np.ndarray) -> np.ndarray:
     """Subtract the least-squares line; result has zero mean and zero trend."""

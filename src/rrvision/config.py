@@ -11,6 +11,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+# smallest ROI side, in pixels, that fixed_roi, ROI clamping and Canny accept
+MIN_ROI_SIDE = 8
+
 
 @dataclass
 class ScheduleConfig:
@@ -107,8 +110,8 @@ class RunConfig:
             raise ValueError("canonical_len must be >= 2")
         if self.fixed_roi is not None:
             x, y, w, h = self.fixed_roi
-            if w < 8 or h < 8:
-                raise ValueError("fixed_roi smaller than 8x8")
+            if w < MIN_ROI_SIDE or h < MIN_ROI_SIDE:
+                raise ValueError(f"fixed_roi smaller than {MIN_ROI_SIDE}x{MIN_ROI_SIDE}")
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)

@@ -26,9 +26,7 @@ from collections import deque
 
 import numpy as np
 
-from .config import CannyConfig
-
-MIN_ROI_SIDE = 8
+from .config import MIN_ROI_SIDE, CannyConfig
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:

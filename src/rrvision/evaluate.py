@@ -57,9 +57,11 @@ def load_ground_truth(path) -> list[tuple[float, float]]:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["t", "rr_bpm"]:
             raise ValueError(f"bad ground-truth header in {path}")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 2:
+                raise ValueError(f"malformed ground-truth row at {path}:{lineno}")
             rows.append((float(row[0]), float(row[1])))
     if not rows:
         raise ValueError(f"empty ground truth {path}")
@@ -128,6 +130,11 @@ def load_dataset_manifest(path) -> list[RecordingSpec]:
     base = path.parent
     specs = []
     for e in entries:
+        if not isinstance(e, dict) or not {"video_path", "ground_truth_path"} <= e.keys():
+            raise ValueError(
+                f"recording {e!r} in {path} must be an object with video_path and "
+                "ground_truth_path"
+            )
         video = base / e["video_path"]
         gt = base / e["ground_truth_path"]
         lm = base / e["landmarks_path"] if e.get("landmarks_path") else None

@@ -64,7 +64,6 @@ class FrameBuffer:
 
     index: int
     data: np.ndarray
-    meta: VideoMeta
 
 
 def load_manifest(path: Path) -> VideoMeta:
@@ -195,7 +194,7 @@ def _open_image_dir(dirpath: Path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
             data = read_pnm(dirpath / f"frame_{i:06d}.{ext}")
             if data.shape[0] != meta.height or data.shape[1] != meta.width:
                 raise ValueError(f"manifest/frame size mismatch at frame {i}")
-            yield FrameBuffer(index=i, data=data, meta=meta)
+            yield FrameBuffer(index=i, data=data)
 
     return meta, frames()
 
@@ -224,25 +223,19 @@ def _open_raw(filepath: Path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
                 if len(chunk) != meta.frame_bytes:
                     raise ValueError(f"size mismatch reading frame {i}")
                 yield FrameBuffer(
-                    index=i, data=np.frombuffer(chunk, dtype=np.uint8).reshape(shape), meta=meta
+                    index=i, data=np.frombuffer(chunk, dtype=np.uint8).reshape(shape)
                 )
 
     return meta, frames()
 
 
-def to_grayscale(frame: FrameBuffer) -> FrameBuffer:
-    """Average the RGB channels into one real-valued plane.
+def to_grayscale(pixels: np.ndarray) -> np.ndarray:
+    """Average the RGB channels into one real-valued plane; GRAY8 only becomes float.
 
-    Equal channel weights; GRAY8 input passes through unchanged apart from
-    the float conversion. No rounding happens here so downstream row
-    averages see full precision.
+    Equal channel weights. The three-channel sum is exact in float64, so
+    this equals the float mean of the channels bit for bit. No rounding
+    happens here so downstream row averages see full precision.
     """
-    data = frame.data
-    if data.ndim == 3:
-        gray = data.astype(np.float64).mean(axis=2)
-    else:
-        gray = data.astype(np.float64)
-    meta = frame.meta
-    if meta.pixel_format != GRAY8:
-        meta = dataclasses.replace(meta, pixel_format=GRAY8)
-    return FrameBuffer(index=frame.index, data=gray, meta=meta)
+    if pixels.ndim == 3:
+        return (pixels[..., 0].astype(np.float64) + pixels[..., 1] + pixels[..., 2]) / 3.0
+    return pixels.astype(np.float64)

@@ -1,11 +1,13 @@
 """Streaming pipeline: frames in, one RR prediction per step out.
 
-Per frame: grayscale, (at epoch starts) ROI + edge-mask re-estimation,
-profile extraction, window push. Whenever the window emits a snapshot the
-breathing analysis runs on it and a prediction is yielded. Wall time is
-recorded per stage so the CLI can report and tests can assert the real-time
-contract: profile extraction plus window push must fit within a frame
-period, and one window analysis within a step.
+Per frame: crop the ROI, convert the crop to grayscale, take its masked row
+means, resample them and push the profile into the window. At epoch starts
+the ROI is re-estimated first, and the crop's mask and row plan are built:
+the dilated Canny edges in edges mode, every pixel in full_roi mode.
+Whenever the window emits a snapshot the breathing analysis runs on it and a
+prediction is yielded. Wall time is recorded per stage so the CLI can report
+and tests can assert the real-time contract: profile extraction plus window
+push must fit within a frame period, and one window analysis within a step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .breathing import RRPrediction, analyze_window
 from .config import RunConfig
 from .edges import canny, dilate
 from .ingest import open_source, to_grayscale
-from .profile import EDGES, extract_profile
+from .profile import extract_profile, plan_rows
 from .roi import LandmarkTrack, RoiRect, load_landmark_track, roi_from_landmarks
 from .window import MotionBuffer, schedule_reestimation
 
@@ -75,27 +77,26 @@ def run_stream(
 
     buffer = MotionBuffer(cfg.canonical_len, meta.fps, cfg.schedule)
     epoch = -1
-    roi_rect: Optional[RoiRect] = None
-    mask = None
 
     for frame in frames:
         t_start = time.perf_counter()
-        gray = to_grayscale(frame).data
-
-        if schedule_reestimation(frame.index, meta.fps, cfg.schedule.reest_s):
+        epoch_start = schedule_reestimation(frame.index, meta.fps, cfg.schedule.reest_s)
+        if epoch_start:
             epoch += 1
             if cfg.fixed_roi is not None:
                 roi_rect = RoiRect(*cfg.fixed_roi).clamped(meta)
             else:
                 roi_rect = roi_from_landmarks(track.lookup(frame.index), meta, cfg.geometry)
-            if cfg.profile_mode == EDGES:
-                mask = dilate(canny(roi_rect.crop(gray), cfg.canny), cfg.canny.dilation_radius)
+        gray_roi = to_grayscale(roi_rect.crop(frame.data))
+        if epoch_start:
+            if cfg.profile_mode == "edges":
+                mask = dilate(canny(gray_roi, cfg.canny), cfg.canny.dilation_radius)
+            else:
+                mask = np.ones(gray_roi.shape, dtype=bool)
+            plan = plan_rows(mask, cfg.canonical_len, epoch)
 
         t_profile = time.perf_counter()
-        p = extract_profile(
-            roi_rect.crop(gray), cfg.profile_mode, cfg.canonical_len, mask=mask, epoch=epoch
-        )
-        event = buffer.push_profile(p, frame.index)
+        event = buffer.push_profile(extract_profile(gray_roi, plan), frame.index)
         t_push = time.perf_counter()
 
         prediction = None

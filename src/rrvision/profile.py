@@ -1,10 +1,16 @@
 """Collapse a grayscale ROI into a canonical-length 1D profile.
 
-Each frame's ROI becomes a column vector of per-row mean intensities: either
-over the whole row (full_roi mode) or over the row's dilated-edge pixels
-(edges mode). Raw profiles have ROI-height length and are resampled to a
-fixed canonical length so the motion matrix stays rectangular when the ROI
-size changes between re-estimation epochs.
+Each frame's ROI becomes a column vector of per-row mean intensities over
+the pixels of the epoch's mask: the dilated edges in edges mode, every pixel
+in full_roi mode. Rows whose mask is empty carry no measurement of their
+own; they are filled by linear interpolation between the nearest valid rows
+(constant extension at the ends) so the profile stays dense. Raw profiles
+have ROI-height length and are resampled to a fixed canonical length so the
+motion matrix stays rectangular when the ROI size changes between
+re-estimation epochs.
+
+The mask only changes at epoch starts, so everything that depends on it
+alone is worked out once per epoch, in a RowPlan.
 """
 
 from __future__ import annotations
@@ -13,9 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FULL_ROI = "full_roi"
-EDGES = "edges"
-
 
 @dataclass
 class Profile1D:
@@ -23,60 +26,45 @@ class Profile1D:
     epoch: int
 
 
-def full_roi_profile(gray_roi: np.ndarray) -> np.ndarray:
-    """Mean intensity of each ROI row."""
-    if gray_roi.size == 0:
-        raise ValueError("empty ROI")
-    return gray_roi.sum(axis=1) / gray_roi.shape[1]
+@dataclass(frozen=True)
+class RowPlan:
+    """What one epoch's mask fixes for every frame of the epoch."""
+
+    weights: np.ndarray  # float64 (h, w): 1.0 where a pixel takes part in the row means, else 0.0
+    valid_rows: np.ndarray  # indices of the rows with at least one mask pixel
+    counts: np.ndarray  # mask pixels in each valid row
+    rows: np.ndarray  # 0..h-1 as float64, the raw profile's sample positions
+    positions: np.ndarray  # the canonical samples' positions on the same axis
+    epoch: int
 
 
-def edges_profile(gray_roi: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row mean over masked pixels, with empty rows filled by interpolation.
-
-    Returns (profile, row_valid). Rows whose mask is empty carry no
-    measurement of their own; they are filled by linear interpolation
-    between the nearest valid rows (constant extension at the ends) so the
-    profile stays dense.
-    """
-    if mask.shape != gray_roi.shape:
-        raise ValueError(f"mask shape {mask.shape} does not match ROI {gray_roi.shape}")
-    counts = mask.sum(axis=1)
-    valid = counts > 0
-    if not valid.any():
-        raise ValueError("no edge pixels in ROI")
-    sums = np.where(mask, gray_roi, 0.0).sum(axis=1)
-    profile = np.empty(gray_roi.shape[0], dtype=np.float64)
-    profile[valid] = sums[valid] / counts[valid]
-    if not valid.all():
-        idx = np.arange(len(profile), dtype=np.float64)
-        profile[~valid] = np.interp(idx[~valid], idx[valid], profile[valid])
-    return profile, valid
-
-
-def resample_profile(raw: np.ndarray, length: int, epoch: int = 0) -> Profile1D:
-    """Linear resampling of a raw profile to the canonical length."""
-    h = len(raw)
-    if h < 2 or length < 2:
+def plan_rows(mask: np.ndarray, canonical_len: int, epoch: int = 0) -> RowPlan:
+    """The row plan of an epoch whose profiles average over `mask`."""
+    h = mask.shape[0]
+    if h < 2 or canonical_len < 2:
         raise ValueError("resampling needs at least 2 samples on both sides")
-    positions = np.arange(length, dtype=np.float64) * (h - 1) / (length - 1)
-    values = np.interp(positions, np.arange(h, dtype=np.float64), np.asarray(raw, dtype=np.float64))
-    return Profile1D(values=values, epoch=epoch)
+    counts = mask.sum(axis=1)
+    valid_rows = np.flatnonzero(counts)
+    if len(valid_rows) == 0:
+        raise ValueError("no edge pixels in ROI")
+    return RowPlan(
+        weights=mask.astype(np.float64),
+        valid_rows=valid_rows,
+        counts=counts[valid_rows],
+        rows=np.arange(h, dtype=np.float64),
+        positions=np.arange(canonical_len, dtype=np.float64) * (h - 1) / (canonical_len - 1),
+        epoch=epoch,
+    )
 
 
-def extract_profile(
-    gray_roi: np.ndarray,
-    mode: str,
-    canonical_len: int,
-    mask: np.ndarray | None = None,
-    epoch: int = 0,
-) -> Profile1D:
-    """One frame's profile in the requested mode, already resampled."""
-    if mode == FULL_ROI:
-        raw = full_roi_profile(gray_roi)
-    elif mode == EDGES:
-        if mask is None:
-            raise ValueError("edges mode needs an edge mask")
-        raw, _ = edges_profile(gray_roi, mask)
-    else:
-        raise ValueError(f"unknown profile mode {mode!r}")
-    return resample_profile(raw, canonical_len, epoch=epoch)
+def extract_profile(gray_roi: np.ndarray, plan: RowPlan) -> Profile1D:
+    """One frame's masked row means, filled and resampled to the canonical length.
+
+    Multiplying by the 0/1 weights keeps or zeroes each pixel exactly.
+    Interpolating at a sample position returns that sample exactly, so the
+    fill leaves valid rows untouched and resampling to the ROI height is the
+    identity.
+    """
+    sums = (gray_roi * plan.weights).sum(axis=1)
+    raw = np.interp(plan.rows, plan.valid_rows, sums[plan.valid_rows] / plan.counts)
+    return Profile1D(values=np.interp(plan.positions, plan.rows, raw), epoch=plan.epoch)

@@ -13,12 +13,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import RoiGeometryConfig
+from .config import MIN_ROI_SIDE, RoiGeometryConfig
 from .ingest import VideoMeta
 
 LANDMARK_HEADER = ["frame", "chin_x", "chin_y", "lear_x", "lear_y", "rear_x", "rear_y"]
-
-MIN_ROI_SIDE = 8
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ class MotionWindow:
 def schedule_reestimation(frame_index: int, fps: float, reest_s: float) -> bool:
     """True exactly at epoch starts: frame 0 and every reest_s thereafter."""
     period = int(round(reest_s * fps))
+    if period < 1:
+        raise ValueError("re-estimation period too short for this frame rate")
     return frame_index % period == 0
 
 
@@ -66,10 +68,6 @@ class MotionBuffer:
         self._offset = np.zeros(n_rows, dtype=np.float64)
         self._epoch: Optional[int] = None
         self._last_column: Optional[np.ndarray] = None
-
-    @property
-    def frames_pushed(self) -> int:
-        return self._count
 
     def push_profile(self, p: Profile1D, frame_index: int | None = None) -> Optional[MotionWindow]:
         """Append one column; returns a window snapshot on step boundaries.

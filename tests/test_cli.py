@@ -46,6 +46,12 @@ class TestRun:
         assert code == 1
         assert "error" in err
 
+    def test_reest_period_below_one_frame_exits_1(self, capsys, tmp_path):
+        ds = make_recording(tmp_path / "rec", duration_s=1.0)
+        code, _, err = run_cli(capsys, "run", ds.video_path, "--reest-s", "0.01")
+        assert code == 1
+        assert "error: re-estimation period" in err
+
     def test_timing_json(self, capsys, tmp_path, cadence_recording):
         out_json = tmp_path / "timing.json"
         code, _, _ = run_cli(
@@ -198,6 +204,13 @@ class TestEvalCommand:
         code, out, _ = run_cli(capsys, "eval", manifest, "--single-cell", "edges,0.30")
         assert code == 2
         assert "failed" in out
+
+    def test_non_object_manifest_entry_exits_1(self, capsys, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text('["x"]')
+        code, _, err = run_cli(capsys, "eval", manifest)
+        assert code == 1
+        assert "error: recording 'x'" in err
 
     def test_empty_manifest_exits_1(self, capsys, tmp_path):
         manifest = tmp_path / "m.json"

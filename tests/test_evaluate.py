@@ -11,6 +11,7 @@ from rrvision.evaluate import (
     load_dataset_manifest,
     load_ground_truth,
     metrics_from_errors,
+    RecordingSpec,
     reference_at,
     run_cell,
     score,
@@ -113,6 +114,12 @@ class TestGroundTruthFile:
         with pytest.raises(ValueError, match="empty"):
             load_ground_truth(p)
 
+    def test_rejects_one_column_row(self, tmp_path):
+        p = tmp_path / "gt.csv"
+        p.write_text("t,rr_bpm\n0,15\n1\n")
+        with pytest.raises(ValueError, match="malformed ground-truth row at .*:3"):
+            load_ground_truth(p)
+
 
 def write_manifest(path, entries):
     path.write_text(json.dumps(entries))
@@ -149,6 +156,16 @@ class TestManifestAndAblation:
             tmp_path / "m.json", [{"video_path": "v.gray8", "ground_truth_path": "gt.csv"}]
         )
         with pytest.raises(ValueError, match="landmarks_path or fixed_roi"):
+            load_dataset_manifest(p)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"video_path": "v.gray8", "landmarks_path": "lm.csv"}, "x"],
+        ids=["missing_ground_truth_path", "not_an_object"],
+    )
+    def test_malformed_entry_rejected(self, tmp_path, entry):
+        p = write_manifest(tmp_path / "m.json", [entry])
+        with pytest.raises(ValueError, match="must be an object with video_path"):
             load_dataset_manifest(p)
 
     def test_four_cells(self, corpus):
@@ -200,3 +217,15 @@ class TestManifestAndAblation:
         assert len(cells) == 1
         assert cells[0].error is not None
         assert "failed" in format_table(cells)
+
+    def test_malformed_ground_truth_fails_cell_but_run_continues(self, corpus, tmp_path):
+        root, _, recs = corpus
+        gt = tmp_path / "gt.csv"
+        gt.write_text("t,rr_bpm\n0,15\n1\n")
+        specs = [
+            RecordingSpec(
+                root / recs[0]["video_path"], gt, landmarks_path=root / recs[0]["landmarks_path"]
+            )
+        ]
+        cells = ablation(specs, RunConfig(), modes=("edges",), fractions=(0.30,))
+        assert "malformed ground-truth row" in cells[0].error

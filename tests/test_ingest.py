@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrvision.ingest import (
-    FrameBuffer,
     VideoMeta,
     load_manifest,
     open_source,
@@ -169,37 +168,33 @@ class TestSynthRoundTrip:
             assert np.array_equal(frame.data, scene.render_quantized(frame.index))
 
 
-def _meta(w=4, h=3, fmt="RGB24"):
-    return VideoMeta(max(16, w), max(16, h), 30.0, 1, fmt)
-
-
 class TestGrayscale:
     def test_channel_mean(self):
         data = np.zeros((16, 16, 3), dtype=np.uint8)
         data[0, 0] = (30, 60, 90)
-        frame = FrameBuffer(0, data, _meta(16, 16))
-        assert to_grayscale(frame).data[0, 0] == 60.0
+        assert to_grayscale(data)[0, 0] == 60.0
 
     def test_gray_identity(self):
         data = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        frame = FrameBuffer(0, data, _meta(16, 16, "GRAY8"))
-        assert np.array_equal(to_grayscale(frame).data, data.astype(np.float64))
+        assert np.array_equal(to_grayscale(data), data.astype(np.float64))
 
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(3)
         data = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
-        got = to_grayscale(FrameBuffer(0, data, _meta(16, 16))).data
-        # brute-force per-pixel mean
-        for y in range(16):
-            for x in range(16):
-                want = (int(data[y, x, 0]) + int(data[y, x, 1]) + int(data[y, x, 2])) / 3.0
-                assert got[y, x] == pytest.approx(want, abs=1e-12)
+        got = to_grayscale(data[2:13, 3:11])  # a crop, as the pipeline passes it
+        # brute-force per-pixel mean; the channel sum is exact, so equality is exact
+        for y in range(11):
+            for x in range(8):
+                want = (int(data[y + 2, x + 3, 0]) + int(data[y + 2, x + 3, 1])
+                        + int(data[y + 2, x + 3, 2])) / 3.0
+                assert got[y, x] == want
+        assert np.array_equal(got, data.astype(np.float64).mean(axis=2)[2:13, 3:11])
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**31 - 1))
     def test_idempotent(self, seed):
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
-        once = to_grayscale(FrameBuffer(0, data, _meta(16, 16)))
+        once = to_grayscale(data)
         twice = to_grayscale(once)
-        assert np.array_equal(once.data, twice.data)
+        assert np.array_equal(once, twice)

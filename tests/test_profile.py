@@ -4,23 +4,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rrvision.profile import edges_profile, full_roi_profile, resample_profile
+from rrvision.profile import extract_profile, plan_rows
+
+
+def row_means(roi, mask=None):
+    """Raw per-row profile: resampling to the ROI height is the identity."""
+    mask = np.ones(roi.shape, dtype=bool) if mask is None else mask
+    return extract_profile(roi, plan_rows(mask, roi.shape[0])).values
+
+
+def resample(raw, length):
+    """A raw profile resampled: one-pixel rows have their value as mean."""
+    raw = np.asarray(raw, dtype=np.float64)
+    return extract_profile(raw[:, None], plan_rows(np.ones((len(raw), 1), bool), length)).values
 
 
 class TestFullRoiProfile:
     def test_constant_roi(self):
-        assert np.array_equal(full_roi_profile(np.full((2, 2), 60.0)), [60.0, 60.0])
+        assert np.array_equal(row_means(np.full((2, 2), 60.0)), [60.0, 60.0])
 
     def test_two_extreme_rows(self):
         roi = np.vstack([np.zeros((1, 10)), np.full((1, 10), 255.0)])
-        assert np.array_equal(full_roi_profile(roi), [0.0, 255.0])
+        assert np.array_equal(row_means(roi), [0.0, 255.0])
 
     def test_matches_row_mean_oracle_1000_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
-            h, w = rng.integers(1, 9), rng.integers(1, 9)
+            h, w = rng.integers(2, 9), rng.integers(1, 9)
             roi = rng.uniform(0, 255, size=(h, w))
-            got = full_roi_profile(roi)
+            got = row_means(roi)
             for i in range(h):
                 want = sum(float(v) for v in roi[i]) / w
                 assert got[i] == pytest.approx(want, rel=1e-12)
@@ -33,37 +45,35 @@ class TestFullRoiProfile:
         shuffled = roi.copy()
         for row in shuffled:
             rng.shuffle(row)
-        assert full_roi_profile(shuffled) == pytest.approx(full_roi_profile(roi), rel=1e-12)
+        assert row_means(shuffled) == pytest.approx(row_means(roi), rel=1e-12)
 
     def test_vertical_shift_moves_profile_by_one_row(self):
         # horizontal stripes: shifting content down by one row shifts the profile
         stripes = np.repeat(np.arange(8, dtype=np.float64) * 30, 2)[:, None].repeat(6, axis=1)
         shifted = np.roll(stripes, 1, axis=0)
-        assert np.array_equal(full_roi_profile(shifted)[1:], full_roi_profile(stripes)[:-1])
+        assert np.array_equal(row_means(shifted)[1:], row_means(stripes)[:-1])
 
 
 class TestEdgesProfile:
     def test_full_mask_equals_full_roi_exactly(self):
         rng = np.random.default_rng(1)
         roi = rng.uniform(0, 255, size=(12, 9))
-        prof, valid = edges_profile(roi, np.ones_like(roi, dtype=bool))
-        assert np.array_equal(prof, full_roi_profile(roi))
-        assert valid.all()
+        assert np.array_equal(row_means(roi), roi.sum(axis=1) / roi.shape[1])
+        plan = plan_rows(np.ones_like(roi, dtype=bool), 12)
+        assert np.array_equal(plan.valid_rows, np.arange(12))
 
     def test_invalid_row_linear_fill(self):
         roi = np.array([[10.0, 99.0], [55.0, 77.0], [30.0, 99.0]])
         mask = np.array([[True, False], [False, False], [True, False]])
-        prof, valid = edges_profile(roi, mask)
-        assert np.array_equal(prof, [10.0, 20.0, 30.0])
-        assert list(valid) == [True, False, True]
+        assert np.array_equal(row_means(roi, mask), [10.0, 20.0, 30.0])
+        assert list(plan_rows(mask, 3).valid_rows) == [0, 2]
 
     def test_constant_extension_at_ends(self):
         roi = np.arange(12, dtype=np.float64).reshape(4, 3)
         mask = np.zeros_like(roi, dtype=bool)
         mask[1, 1] = True
         mask[2, 0] = True
-        prof, valid = edges_profile(roi, mask)
-        assert np.array_equal(prof, [4.0, 4.0, 6.0, 6.0])
+        assert np.array_equal(row_means(roi, mask), [4.0, 4.0, 6.0, 6.0])
 
     def test_single_pixel_per_row(self):
         rng = np.random.default_rng(2)
@@ -71,25 +81,36 @@ class TestEdgesProfile:
         mask = np.zeros_like(roi, dtype=bool)
         picks = rng.integers(0, 5, size=6)
         mask[np.arange(6), picks] = True
-        prof, _ = edges_profile(roi, mask)
-        assert np.array_equal(prof, roi[np.arange(6), picks])
+        assert np.array_equal(row_means(roi, mask), roi[np.arange(6), picks])
+
+    def test_plan_is_reused_across_frames(self):
+        rng = np.random.default_rng(4)
+        mask = rng.random((7, 5)) < 0.5
+        mask[0, 0] = True
+        plan = plan_rows(mask, 7, epoch=3)
+        for _ in range(3):
+            roi = rng.uniform(0, 255, size=(7, 5))
+            p = extract_profile(roi, plan)
+            assert p.epoch == 3
+            assert np.array_equal(p.values, row_means(roi, mask))
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="no edge pixels"):
-            edges_profile(np.ones((4, 4)), np.zeros((4, 4), dtype=bool))
+            plan_rows(np.zeros((4, 4), dtype=bool), 4)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mask shape"):
-            edges_profile(np.ones((4, 4)), np.ones((3, 4), dtype=bool))
+        plan = plan_rows(np.ones((3, 4), dtype=bool), 5)
+        with pytest.raises(ValueError):
+            extract_profile(np.ones((4, 4)), plan)
 
 
 class TestResample:
     def test_identity_when_lengths_match(self):
         raw = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-        assert np.array_equal(resample_profile(raw, 5).values, raw)
+        assert np.array_equal(resample(raw, 5), raw)
 
     def test_two_to_three(self):
-        assert np.array_equal(resample_profile(np.array([0.0, 1.0]), 3).values, [0.0, 0.5, 1.0])
+        assert np.array_equal(resample([0.0, 1.0], 3), [0.0, 0.5, 1.0])
 
     def test_matches_interpolation_oracle_1000_instances(self):
         rng = np.random.default_rng(3)
@@ -97,7 +118,7 @@ class TestResample:
             h = int(rng.integers(2, 12))
             length = int(rng.integers(2, 12))
             raw = rng.uniform(-50, 300, size=h)
-            got = resample_profile(raw, length).values
+            got = resample(raw, length)
             for i in range(length):
                 pos = i * (h - 1) / (length - 1)
                 lo = int(np.floor(pos))
@@ -116,12 +137,12 @@ class TestResample:
         length=st.integers(2, 40),
     )
     def test_preserves_bounds(self, raw, length):
-        out = resample_profile(raw, length).values
+        out = resample(raw, length)
         assert out.min() >= raw.min() - 1e-9
         assert out.max() <= raw.max() + 1e-9
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            resample_profile(np.array([1.0]), 5)
+            plan_rows(np.ones((1, 3), dtype=bool), 5)
         with pytest.raises(ValueError):
-            resample_profile(np.array([1.0, 2.0]), 1)
+            plan_rows(np.ones((2, 3), dtype=bool), 1)

@@ -30,6 +30,10 @@ class TestSchedule:
         hits = [f for f in range(401) if schedule_reestimation(f, 20.0, 10.0)]
         assert hits == [0, 200, 400]
 
+    def test_period_below_one_frame_rejected(self):
+        with pytest.raises(ValueError, match="re-estimation period"):
+            schedule_reestimation(0, 30.0, 0.01)
+
 
 class TestCadence:
     def test_first_event_at_warmup_then_every_step(self):
