@@ -130,9 +130,11 @@ def load_dataset_manifest(path) -> list[RecordingSpec]:
     base = path.parent
     specs = []
     for e in entries:
-        if not isinstance(e, dict) or not {"video_path", "ground_truth_path"} <= e.keys():
+        if not isinstance(e, dict) or not all(
+            isinstance(e.get(k), str) for k in ("video_path", "ground_truth_path")
+        ):
             raise ValueError(
-                f"recording {e!r} in {path} must be an object with video_path and "
+                f"recording {e!r} in {path} must be an object with string video_path and "
                 "ground_truth_path"
             )
         video = base / e["video_path"]

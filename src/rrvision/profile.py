@@ -30,7 +30,7 @@ class Profile1D:
 class RowPlan:
     """What one epoch's mask fixes for every frame of the epoch."""
 
-    weights: np.ndarray  # float64 (h, w): 1.0 where a pixel takes part in the row means, else 0.0
+    weights: np.ndarray  # float64 (h, w): 1.0 on mask pixels, else 0.0
     valid_rows: np.ndarray  # indices of the rows with at least one mask pixel
     counts: np.ndarray  # mask pixels in each valid row
     rows: np.ndarray  # 0..h-1 as float64, the raw profile's sample positions

@@ -160,12 +160,16 @@ class TestManifestAndAblation:
 
     @pytest.mark.parametrize(
         "entry",
-        [{"video_path": "v.gray8", "landmarks_path": "lm.csv"}, "x"],
-        ids=["missing_ground_truth_path", "not_an_object"],
+        [
+            {"video_path": "v.gray8", "landmarks_path": "lm.csv"},
+            "x",
+            {"video_path": 5, "ground_truth_path": "gt.csv", "landmarks_path": "lm.csv"},
+        ],
+        ids=["missing_ground_truth_path", "not_an_object", "path_not_a_string"],
     )
     def test_malformed_entry_rejected(self, tmp_path, entry):
         p = write_manifest(tmp_path / "m.json", [entry])
-        with pytest.raises(ValueError, match="must be an object with video_path"):
+        with pytest.raises(ValueError, match="must be an object with string video_path"):
             load_dataset_manifest(p)
 
     def test_four_cells(self, corpus):
