@@ -39,57 +39,47 @@ class RRPrediction:
 
 
 def detrend(signal: np.ndarray) -> np.ndarray:
-    """Subtract the least-squares line; result has zero mean and zero trend."""
+    """Subtract the least-squares line along the last axis; zero mean and zero trend remain."""
     y = np.asarray(signal, dtype=np.float64)
-    n = len(y)
+    n = y.shape[-1]
     if n < 2:
         raise ValueError("detrend needs at least 2 samples")
-    t = np.arange(n, dtype=np.float64)
-    t_c = t - t.mean()
-    y_mean = y.mean()
-    slope = (t_c @ (y - y_mean)) / (t_c @ t_c)
-    return y - y_mean - slope * t_c
+    t_c = np.arange(n, dtype=np.float64) - (n - 1) / 2  # (n - 1) / 2 is the exact mean
+    y_c = y - y.mean(axis=-1, keepdims=True)
+    slope = np.vecdot(y_c, t_c) / (t_c @ t_c)
+    return y_c - np.expand_dims(slope, -1) * t_c
 
 
-def select_and_group(window: MotionWindow, cfg: BreathingConfig) -> list[np.ndarray]:
+def select_and_group(window: MotionWindow, cfg: BreathingConfig) -> np.ndarray:
     """Detrend rows, rank by std, keep the top fraction, split into groups.
 
-    Returns G arrays of shape (group_size, N) in rank order (group 0 holds
-    the highest-std signals). Ranking ties break toward the lower row index.
+    Returns a (G, group_size, N) array in rank order (group 0 holds the
+    highest-std signals). Ranking ties break toward the lower row index.
     Leftover selected rows beyond G*group_size are dropped. An all-flat
-    window yields an empty list.
+    window yields G = 0.
     """
-    n_rows = window.matrix.shape[0]
+    n_rows, n_cols = window.matrix.shape
     group_size = int(np.floor(n_rows * cfg.group_frac))
     if group_size < 1:
         raise ValueError("window has too few rows for the configured group fraction")
     n_top = int(np.floor(n_rows * cfg.top_frac))
-    n_groups = cfg.n_groups()
 
-    detrended = np.empty_like(window.matrix)
-    for i in range(n_rows):
-        detrended[i] = detrend(window.matrix[i])
+    detrended = detrend(window.matrix)
     stds = detrended.std(axis=1)
-    if np.all(stds <= FLAT_STD):
-        return []  # flat window
-
-    order = np.argsort(-stds, kind="stable")[:n_top]
-    return [
-        detrended[order[g * group_size : (g + 1) * group_size]]
-        for g in range(n_groups)
-        if (g + 1) * group_size <= len(order)
-    ]
+    n_groups = 0 if np.all(stds <= FLAT_STD) else min(cfg.n_groups(), n_top // group_size)
+    order = np.argsort(-stds, kind="stable")[: n_groups * group_size]
+    return detrended[order].reshape(n_groups, group_size, n_cols)
 
 
 def group_to_wave(group: np.ndarray) -> np.ndarray:
-    """Element-wise mean of a group's signals."""
-    if len(group) == 0:
+    """Element-wise mean of a group's signals (axis -2); stacks give one wave per group."""
+    if group.shape[-2] == 0:
         raise ValueError("empty signal group")
-    return group.sum(axis=0) / len(group)
+    return group.sum(axis=-2) / group.shape[-2]
 
 
 def smooth(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarray:
-    """Centered moving average, window rounded to an odd sample count.
+    """Centered moving average along the last axis, window rounded to an odd sample count.
 
     Truncated at the boundaries and renormalized by the number of samples
     actually present.
@@ -100,11 +90,12 @@ def smooth(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarray:
     if k <= 1:
         return np.asarray(wave, dtype=np.float64).copy()
     half = k // 2
-    n = len(wave)
-    csum = np.concatenate(([0.0], np.cumsum(wave, dtype=np.float64)))
+    n = wave.shape[-1]
+    csum = np.zeros(wave.shape[:-1] + (n + 1,))
+    np.cumsum(wave, axis=-1, out=csum[..., 1:])
     lo = np.maximum(np.arange(n) - half, 0)
     hi = np.minimum(np.arange(n) + half + 1, n)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    return (csum[..., hi] - csum[..., lo]) / (hi - lo)
 
 
 def _prominence(wave: np.ndarray, peak: int) -> float:
@@ -208,12 +199,9 @@ def predict(series: RRSeries, t: float, group_index: int) -> RRPrediction:
 def analyze_window(window: MotionWindow, cfg: BreathingConfig, t: float | None = None) -> RRPrediction:
     """Full per-window analysis; returns an invalid prediction when no group qualifies."""
     t = window.end_time_s if t is None else t
-    groups = select_and_group(window, cfg)
-    series = []
-    for g in groups:
-        wave = smooth(group_to_wave(g), window.fs, cfg)
-        peaks = detect_peaks(wave, window.fs, cfg)
-        series.append(instantaneous_rr(peaks, window.fs, cfg))
+    fs = window.fs
+    waves = smooth(group_to_wave(select_and_group(window, cfg)), fs, cfg)
+    series = [instantaneous_rr(detect_peaks(wave, fs, cfg), fs, cfg) for wave in waves]
     win = best_group(series, cfg)
     if win is None:
         return RRPrediction(t=t, rr_bpm=None, group_index=None, n_peaks=0, valid=False)

@@ -78,27 +78,27 @@ def cmd_run(args: argparse.Namespace) -> int:
             print("error: need --landmarks or --fixed-roi", file=sys.stderr)
             return 1
 
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    # the header goes out with the first row, so a run rejected before it leaves no file
+    out = None
     timings = StageTimings()
-    n_rows = 0
     try:
-        out.write(PREDICTION_HEADER + "\n")
-        out.flush()
         for p in run_stream(args.video, cfg, landmarks_path=args.landmarks, timings=timings):
+            out = out or _open_predictions(args.out)
             rr = f"{p.rr_bpm:.4f}" if p.valid else ""
             group = str(p.group_index) if p.valid else ""
             out.write(f"{p.t:.3f},{rr},{group},{p.n_peaks},{int(p.valid)}\n")
             out.flush()
-            n_rows += 1
+        if out is None:
+            print("warning: input shorter than the analysis window; no predictions",
+                  file=sys.stderr)
+            out = _open_predictions(args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if args.out:
+        if args.out and out is not None:
             out.close()
 
-    if n_rows == 0:
-        print("warning: input shorter than the analysis window; no predictions", file=sys.stderr)
     summary = timings.summary()
     pp, an = summary["frame_profile_push"], summary["window_analysis"]
     print(
@@ -111,6 +111,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
     return 0
+
+
+def _open_predictions(path):
+    out = open(path, "w", encoding="utf-8") if path else sys.stdout
+    out.write(PREDICTION_HEADER + "\n")
+    return out
 
 
 def _fmt(v) -> str:

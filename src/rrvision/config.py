@@ -109,6 +109,8 @@ class RunConfig:
         if self.canonical_len < 2:
             raise ValueError("canonical_len must be >= 2")
         if self.fixed_roi is not None:
+            if len(self.fixed_roi) != 4:
+                raise ValueError("fixed_roi must be four integers x,y,w,h")
             x, y, w, h = self.fixed_roi
             if w < MIN_ROI_SIDE or h < MIN_ROI_SIDE:
                 raise ValueError(f"fixed_roi smaller than {MIN_ROI_SIDE}x{MIN_ROI_SIDE}")
@@ -145,11 +147,20 @@ def apply_overrides(cfg: RunConfig, d: dict) -> None:
                     raise ValueError(f"unknown config key {key}.{k}")
                 setattr(sub, k, v)
         elif key == "fixed_roi":
-            cfg.fixed_roi = None if value is None else tuple(int(v) for v in value)
+            cfg.fixed_roi = fixed_roi_from_json(value, "config")
         elif key in ("profile_mode", "canonical_len"):
             setattr(cfg, key, value)
         else:
             raise ValueError(f"unknown config key {key}")
+
+
+def fixed_roi_from_json(value, where: str) -> Optional[tuple[int, int, int, int]]:
+    """A JSON fixed_roi: null, or a list of four integers x, y, w, h."""
+    if value is None:
+        return None
+    if not (isinstance(value, list) and len(value) == 4 and all(type(v) is int for v in value)):
+        raise ValueError(f"{where}: fixed_roi must be a list of four integers, not {value!r}")
+    return tuple(value)
 
 
 def load_config(path) -> RunConfig:

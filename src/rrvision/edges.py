@@ -22,7 +22,6 @@ averaging.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -105,20 +104,15 @@ def non_maximum_suppression(mag: np.ndarray, bins: np.ndarray) -> np.ndarray:
 
 
 def hysteresis(mag: np.ndarray, low: float, high: float) -> np.ndarray:
-    """8-connected flood from pixels >= high through pixels >= low."""
-    strong = mag >= high
+    """8-connected growth from pixels >= high through pixels >= low.
+
+    Each pass adds the weak pixels touching the set, so it takes one pass per
+    step from a strong pixel to the farthest weak pixel reached, plus one.
+    """
     weak = mag >= low
-    out = strong.copy()
-    stack = deque(zip(*np.nonzero(strong)))
-    h, w = mag.shape
-    while stack:
-        y, x = stack.pop()
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and weak[ny, nx] and not out[ny, nx]:
-                    out[ny, nx] = True
-                    stack.append((ny, nx))
+    out, prev = mag >= high, None
+    while not np.array_equal(out, prev):
+        out, prev = out | (dilate(out, 1) & weak), out
     return out
 
 

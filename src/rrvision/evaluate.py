@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .breathing import RRPrediction
-from .config import RunConfig
+from .config import RunConfig, fixed_roi_from_json
 from .pipeline import run_recording
 
 SR_BOUND_BPM = 2.0
@@ -140,7 +140,7 @@ def load_dataset_manifest(path) -> list[RecordingSpec]:
         video = base / e["video_path"]
         gt = base / e["ground_truth_path"]
         lm = base / e["landmarks_path"] if e.get("landmarks_path") else None
-        roi = tuple(int(v) for v in e["fixed_roi"]) if e.get("fixed_roi") else None
+        roi = fixed_roi_from_json(e.get("fixed_roi"), f"recording {e!r} in {path}")
         if lm is None and roi is None:
             raise ValueError(f"recording {e} needs landmarks_path or fixed_roi")
         specs.append(RecordingSpec(video, gt, lm, roi))

@@ -124,6 +124,17 @@ class TestDetrend:
         assert abs(out.mean()) < 1e-9
         assert abs(np.polyfit(t, out, 1)[0]) < 1e-9
 
+    def test_matrix_matches_per_row_closed_form_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for n_rows, n in [(1, 2), (7, 3), (40, 600), (120, 257)]:
+            m = rng.normal(0, 50, size=(n_rows, n)).cumsum(axis=1) + rng.uniform(-200, 200)
+            t = np.arange(n, dtype=np.float64)
+            t_c = t - t.mean()
+            want = np.stack([
+                row - row.mean() - (t_c @ (row - row.mean())) / (t_c @ t_c) * t_c for row in m
+            ])
+            assert np.array_equal(detrend(m), want)
+
 
 # --- selection & grouping -------------------------------------------------------
 
@@ -165,7 +176,7 @@ class TestSelectAndGroup:
 
     def test_flat_window_yields_no_groups(self):
         window = window_from_rows(np.full((40, 100), 3.0))
-        assert select_and_group(window, CFG) == []
+        assert select_and_group(window, CFG).shape == (0, 2, 100)
 
     def test_group_fraction_too_small_rejected(self):
         window = window_from_rows(np.zeros((10, 50)))
@@ -187,6 +198,12 @@ class TestGroupToWave:
         group = rng.uniform(-5, 5, size=(5, 40))
         want = np.array([sum(group[:, j]) / 5 for j in range(40)])
         assert group_to_wave(group) == pytest.approx(want, rel=1e-12)
+
+    def test_stack_matches_per_group_calls(self):
+        rng = np.random.default_rng(5)
+        groups = rng.uniform(-5, 5, size=(6, 7, 90))
+        want = np.stack([group_to_wave(g) for g in groups])
+        assert np.array_equal(group_to_wave(groups), want)
 
 
 class TestSmooth:
@@ -230,6 +247,13 @@ class TestSmooth:
                 k += 1
             want = wave.copy() if k <= 1 else oracle_moving_average(wave, k)
             assert smooth(wave, fs, cfg) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("smooth_s", [0.0, 0.3, 0.4])
+    def test_stack_matches_per_wave_calls(self, smooth_s):
+        cfg = BreathingConfig(smooth_s=smooth_s)
+        waves = np.random.default_rng(6).uniform(-10, 10, size=(6, 120))
+        want = np.stack([smooth(w, 30.0, cfg) for w in waves])
+        assert np.array_equal(smooth(waves, 30.0, cfg), want)
 
 
 class TestDetectPeaks:

@@ -52,6 +52,28 @@ class TestRun:
         assert code == 1
         assert "error: re-estimation period" in err
 
+    def test_rejected_run_creates_no_out_file(self, capsys, tmp_path):
+        ds = make_recording(tmp_path / "rec", duration_s=1.0)
+        out_csv = tmp_path / "f.csv"
+        code, out, _ = run_cli(capsys, "run", ds.video_path, "--reest-s", "0.01", "--out", out_csv)
+        assert code == 1
+        assert out == ""
+        assert not out_csv.exists()
+
+    def test_short_video_out_file_holds_header(self, capsys, tmp_path):
+        ds = make_recording(tmp_path / "short", duration_s=10.0)
+        out_csv = tmp_path / "f.csv"
+        code, _, _ = run_cli(capsys, "run", ds.video_path, "--out", out_csv)
+        assert code == 0
+        assert out_csv.read_text() == "t_seconds,rr_bpm,group_index,n_peaks,valid\n"
+
+    def test_fixed_roi_flag_needs_four_values(self, capsys, tmp_path):
+        ds = make_recording(tmp_path / "rec", duration_s=1.0)
+        code, out, err = run_cli(capsys, "run", ds.video_path, "--fixed-roi", "1,2")
+        assert code == 1
+        assert out == ""
+        assert "error: fixed_roi must be four integers" in err
+
     def test_timing_json(self, capsys, tmp_path, cadence_recording):
         out_json = tmp_path / "timing.json"
         code, _, _ = run_cli(
@@ -108,6 +130,15 @@ class TestDumpConfigRoundTrip:
         )
         assert code_a == code_b == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("roi", [[1, 2], 5], ids=["two_values", "scalar"])
+    def test_malformed_fixed_roi_in_config_exits_1(self, capsys, tmp_path, roi):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"fixed_roi": roi}))
+        code, out, err = run_cli(capsys, "run", tmp_path / "v.gray8", "--config", cfg_file)
+        assert code == 1
+        assert out == ""
+        assert "error: config: fixed_roi must be a list of four integers" in err
 
     def test_flag_overrides_config_file(self, capsys, tmp_path, cadence_recording):
         cfg_file = tmp_path / "cfg.json"
@@ -211,6 +242,17 @@ class TestEvalCommand:
         code, _, err = run_cli(capsys, "eval", manifest)
         assert code == 1
         assert "error: recording 'x'" in err
+
+    @pytest.mark.parametrize("roi", [[1, 2], 5], ids=["two_values", "scalar"])
+    def test_malformed_fixed_roi_exits_1(self, capsys, tmp_path, roi):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{
+            "video_path": "rec/video.gray8", "ground_truth_path": "rec/gt.csv", "fixed_roi": roi,
+        }]))
+        code, out, err = run_cli(capsys, "eval", manifest)
+        assert code == 1
+        assert out == ""
+        assert "fixed_roi must be a list of four integers" in err
 
     def test_empty_manifest_exits_1(self, capsys, tmp_path):
         manifest = tmp_path / "m.json"

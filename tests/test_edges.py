@@ -125,6 +125,16 @@ def oracle_hysteresis(mag, low, high):
     return out
 
 
+def serpentine(h, w, weak=60.0):
+    """One 8-connected weak path: full rows joined at alternating ends."""
+    mag = np.zeros((h, w))
+    for y in range(1, h - 1, 2):
+        mag[y, 1 : w - 1] = weak
+        if y + 2 < h - 1:
+            mag[y + 1, w - 2 if (y // 2) % 2 == 0 else 1] = weak
+    return mag
+
+
 def oracle_canny(img, cfg):
     blurred = oracle_blur(np.asarray(img, dtype=np.float64), cfg.sigma)
     gx, gy = oracle_sobel(blurred)
@@ -229,6 +239,30 @@ class TestHysteresis:
         rng = np.random.default_rng(seed)
         mag = rng.uniform(0, 150, size=(10, 10))
         assert np.array_equal(hysteresis(mag, 50.0, 100.0), oracle_hysteresis(mag, 50.0, 100.0))
+
+    def test_serpentine_weak_path_fed_by_one_strong_pixel(self):
+        mag = serpentine(21, 21)
+        mag[1, 1] = 120.0
+        mask = hysteresis(mag, 50.0, 100.0)
+        assert np.array_equal(mask, oracle_hysteresis(mag, 50.0, 100.0))
+        assert np.array_equal(mask, mag > 0)  # all 199 path pixels, in 181 growth passes
+
+    def test_disconnected_weak_stroke_stays_off(self):
+        mag = np.pad(serpentine(21, 21), ((0, 0), (0, 4)))
+        mag[1, 1] = 120.0
+        mag[1:-1, -2] = 60.0  # three zero columns away from the serpentine
+        mask = hysteresis(mag, 50.0, 100.0)
+        assert np.array_equal(mask, oracle_hysteresis(mag, 50.0, 100.0))
+        assert not mask[:, -2].any()
+        assert mask[:, :21].sum() == np.count_nonzero(mag[:, :21])
+
+    def test_low_above_high(self):
+        mag = serpentine(21, 21)
+        mag[1, 1] = 120.0
+        mag[5, 3] = 80.0
+        mask = hysteresis(mag, 100.0, 50.0)
+        assert np.array_equal(mask, oracle_hysteresis(mag, 100.0, 50.0))
+        assert np.array_equal(mask, mag >= 50.0)
 
 
 def _oracle_dilate(mask, radius):

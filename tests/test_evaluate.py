@@ -172,6 +172,16 @@ class TestManifestAndAblation:
         with pytest.raises(ValueError, match="must be an object with string video_path"):
             load_dataset_manifest(p)
 
+    @pytest.mark.parametrize(
+        "roi", [[1, 2], 5, [1, 2, 3, 4, 5], [40, 50, 80.5, 60], "40,50,80,60"],
+        ids=["two_values", "scalar", "five_values", "float_value", "string"],
+    )
+    def test_malformed_fixed_roi_rejected(self, tmp_path, roi):
+        entry = {"video_path": "v.gray8", "ground_truth_path": "gt.csv", "fixed_roi": roi}
+        p = write_manifest(tmp_path / "m.json", [entry])
+        with pytest.raises(ValueError, match="fixed_roi must be a list of four integers"):
+            load_dataset_manifest(p)
+
     def test_four_cells(self, corpus):
         _, manifest, _ = corpus
         cells = ablation(load_dataset_manifest(manifest), RunConfig())
