@@ -156,8 +156,11 @@ def _parse_segments(text: str) -> list[tuple[float, float]]:
     """Parse "0:15,30:20" into [(0.0, 15.0), (30.0, 20.0)]."""
     segments = []
     for part in text.split(","):
-        start, rr = part.split(":")
-        segments.append((float(start), float(rr)))
+        start, _, rr = part.partition(":")
+        try:
+            segments.append((float(start), float(rr)))
+        except ValueError:
+            raise ValueError("--rr-segments must be START:BPM pairs") from None
     return segments
 
 
@@ -166,8 +169,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     try:
         recordings = evaluate.load_dataset_manifest(args.manifest)
         if args.single_cell:
-            mode, frac = args.single_cell.split(",")
-            cells = [evaluate.run_cell(recordings, cfg, mode, float(frac))]
+            mode, _, frac = args.single_cell.partition(",")
+            try:
+                fraction = float(frac)
+            except ValueError:
+                raise ValueError("--single-cell must be MODE,FRACTION") from None
+            cells = [evaluate.run_cell(recordings, cfg, mode, fraction)]
         else:
             cells = evaluate.ablation(recordings, cfg)
     except (OSError, ValueError) as exc:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,9 +61,13 @@ def load_ground_truth(path) -> list[tuple[float, float]]:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 2:
+            try:
+                t, rr = (float(v) for v in row)
+            except ValueError:  # wrong column count or a non-number
+                t = rr = math.nan
+            if not (math.isfinite(t) and math.isfinite(rr)):
                 raise ValueError(f"malformed ground-truth row at {path}:{lineno}")
-            rows.append((float(row[0]), float(row[1])))
+            rows.append((t, rr))
     if not rows:
         raise ValueError(f"empty ground truth {path}")
     if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
@@ -160,12 +165,12 @@ def run_cell(
     recordings: Sequence[RecordingSpec], base_cfg: RunConfig, mode: str, fraction: float
 ) -> AblationCell:
     """Run every recording through one configuration and pool the errors."""
+    cfg = _cell_config(base_cfg, mode, fraction)  # a bad cell is a configuration error
     errors: list[float] = []
     invalid = 0
     winners: list[int] = []
     try:
         for rec in recordings:
-            cfg = _cell_config(base_cfg, mode, fraction)
             cfg.fixed_roi = rec.fixed_roi
             preds = run_recording(rec.video_path, cfg, landmarks_path=rec.landmarks_path)
             gt = load_ground_truth(rec.ground_truth_path)

@@ -1,13 +1,15 @@
 """Streaming pipeline: frames in, one RR prediction per step out.
 
 Per frame: crop the ROI, convert the crop to grayscale, take its masked row
-means, resample them and push the profile into the window. At epoch starts
-the ROI is re-estimated first, and the crop's mask and row plan are built:
-the dilated Canny edges in edges mode, every pixel in full_roi mode.
+means, resample them and push the profile into the window. The window's
+MotionBuffer owns the frame schedule; when it says the next column starts an
+epoch, the ROI is re-estimated first, and the crop's mask and row plan are
+built: the dilated Canny edges in edges mode, every pixel in full_roi mode.
 Whenever the window emits a snapshot the breathing analysis runs on it and a
 prediction is yielded. Wall time is recorded per stage so the CLI can report
-and tests can assert the real-time contract: profile extraction plus window
-push must fit within a frame period, and one window analysis within a step.
+and tests can assert the real-time contract: every whole frame, epoch starts
+included, must fit within a frame period, and one window analysis within a
+step.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .edges import canny, dilate
 from .ingest import open_source, to_grayscale
 from .profile import extract_profile, plan_rows
 from .roi import LandmarkTrack, RoiRect, load_landmark_track, roi_from_landmarks
-from .window import MotionBuffer, schedule_reestimation
+from .window import MotionBuffer
 
 
 @dataclass
@@ -76,13 +78,11 @@ def run_stream(
         track = load_landmark_track(landmarks_path)
 
     buffer = MotionBuffer(cfg.canonical_len, meta.fps, cfg.schedule)
-    epoch = -1
 
     for frame in frames:
         t_start = time.perf_counter()
-        epoch_start = schedule_reestimation(frame.index, meta.fps, cfg.schedule.reest_s)
+        epoch_start = buffer.epoch_start
         if epoch_start:
-            epoch += 1
             if cfg.fixed_roi is not None:
                 roi_rect = RoiRect(*cfg.fixed_roi).clamped(meta)
             else:
@@ -93,10 +93,10 @@ def run_stream(
                 mask = dilate(canny(gray_roi, cfg.canny), cfg.canny.dilation_radius)
             else:
                 mask = np.ones(gray_roi.shape, dtype=bool)
-            plan = plan_rows(mask, cfg.canonical_len, epoch)
+            plan = plan_rows(mask, cfg.canonical_len)
 
         t_profile = time.perf_counter()
-        event = buffer.push_profile(extract_profile(gray_roi, plan), frame.index)
+        event = buffer.push_profile(extract_profile(gray_roi, plan))
         t_push = time.perf_counter()
 
         prediction = None

@@ -10,7 +10,8 @@ motion matrix stays rectangular when the ROI size changes between
 re-estimation epochs.
 
 The mask only changes at epoch starts, so everything that depends on it
-alone is worked out once per epoch, in a RowPlan.
+alone is worked out once per epoch, in a RowPlan. A profile is a plain
+float64 array; which epoch it belongs to is the motion buffer's business.
 """
 
 from __future__ import annotations
@@ -18,12 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class Profile1D:
-    values: np.ndarray  # float64, canonical length
-    epoch: int
 
 
 @dataclass(frozen=True)
@@ -35,10 +30,9 @@ class RowPlan:
     counts: np.ndarray  # mask pixels in each valid row
     rows: np.ndarray  # 0..h-1 as float64, the raw profile's sample positions
     positions: np.ndarray  # the canonical samples' positions on the same axis
-    epoch: int
 
 
-def plan_rows(mask: np.ndarray, canonical_len: int, epoch: int = 0) -> RowPlan:
+def plan_rows(mask: np.ndarray, canonical_len: int) -> RowPlan:
     """The row plan of an epoch whose profiles average over `mask`."""
     h = mask.shape[0]
     if h < 2 or canonical_len < 2:
@@ -53,11 +47,10 @@ def plan_rows(mask: np.ndarray, canonical_len: int, epoch: int = 0) -> RowPlan:
         counts=counts[valid_rows],
         rows=np.arange(h, dtype=np.float64),
         positions=np.arange(canonical_len, dtype=np.float64) * (h - 1) / (canonical_len - 1),
-        epoch=epoch,
     )
 
 
-def extract_profile(gray_roi: np.ndarray, plan: RowPlan) -> Profile1D:
+def extract_profile(gray_roi: np.ndarray, plan: RowPlan) -> np.ndarray:
     """One frame's masked row means, filled and resampled to the canonical length.
 
     Multiplying by the 0/1 weights keeps or zeroes each pixel exactly.
@@ -67,4 +60,4 @@ def extract_profile(gray_roi: np.ndarray, plan: RowPlan) -> Profile1D:
     """
     sums = (gray_roi * plan.weights).sum(axis=1)
     raw = np.interp(plan.rows, plan.valid_rows, sums[plan.valid_rows] / plan.counts)
-    return Profile1D(values=np.interp(plan.positions, plan.rows, raw), epoch=plan.epoch)
+    return np.interp(plan.positions, plan.rows, raw)

@@ -1,10 +1,11 @@
-"""Sliding motion-signal matrix: ring buffer, step schedule, epoch stitching.
+"""Sliding motion-signal matrix: ring buffer, frame schedule, epoch stitching.
 
-Profiles arrive once per frame and become columns of an LxN matrix (N =
-window seconds x fps). Once the buffer is warm, a snapshot is emitted every
-step. ROI re-estimation starts a new epoch; because the ROI (and edge mask)
-may change, profile levels can jump at the boundary, so each new epoch is
-shifted per row to continue exactly where the previous epoch ended.
+Profiles arrive once per frame and become columns of an LxN matrix. The
+buffer owns the frame schedule: it turns the window, step and re-estimation
+seconds into frame counts. Once warm, it emits a snapshot every step. Each
+new epoch re-estimates the ROI (and edge mask), so profile levels can jump
+at the boundary; the buffer shifts the new epoch per row to continue exactly
+where the previous epoch ended.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .config import ScheduleConfig
-from .profile import Profile1D
 
 
 @dataclass
@@ -31,25 +31,6 @@ class MotionWindow:
         return (self.end_frame + 1) / self.fs
 
 
-def schedule_reestimation(frame_index: int, fps: float, reest_s: float) -> bool:
-    """True exactly at epoch starts: frame 0 and every reest_s thereafter."""
-    period = int(round(reest_s * fps))
-    if period < 1:
-        raise ValueError("re-estimation period too short for this frame rate")
-    return frame_index % period == 0
-
-
-def stitch_epoch_boundary(prev_last: np.ndarray, new_first: np.ndarray) -> np.ndarray:
-    """Per-row offsets that make the new epoch continue the old one.
-
-    Subtracting the returned offsets from every column of the new epoch
-    makes its first column equal the previous epoch's last column.
-    """
-    if prev_last.shape != new_first.shape:
-        raise ValueError("column length changed across epoch boundary")
-    return new_first - prev_last
-
-
 class MotionBuffer:
     """Single-writer sliding buffer over stitched profile columns."""
 
@@ -60,34 +41,37 @@ class MotionBuffer:
         self.n_rows = n_rows
         self.n_cols = int(round(self.schedule.window_s * fps))
         self.step_frames = int(round(self.schedule.step_s * fps))
+        self.epoch_frames = int(round(self.schedule.reest_s * fps))
         if self.n_cols < 2 or self.step_frames < 1:
             raise ValueError("window/step too small for this frame rate")
+        if self.epoch_frames < 1:
+            raise ValueError("re-estimation period too short for this frame rate")
         self._ring = np.zeros((n_rows, self.n_cols), dtype=np.float64)
         self._head = 0  # next write position
         self._count = 0  # total columns pushed
         self._offset = np.zeros(n_rows, dtype=np.float64)
-        self._epoch: Optional[int] = None
         self._last_column: Optional[np.ndarray] = None
 
-    def push_profile(self, p: Profile1D, frame_index: int | None = None) -> Optional[MotionWindow]:
+    @property
+    def epoch_start(self) -> bool:
+        """True when the next column opens an epoch: column 0 and every epoch_frames after."""
+        return self._count % self.epoch_frames == 0
+
+    def push_profile(self, values: np.ndarray) -> Optional[MotionWindow]:
         """Append one column; returns a window snapshot on step boundaries.
 
-        Emits nothing until n_cols columns have accumulated (warm-up), then
-        one snapshot every step_frames columns.
+        A column that opens an epoch other than the first is stitched: the
+        per-row offset moves so that it equals the previous column. Emits
+        nothing until n_cols columns have accumulated (warm-up), then one
+        snapshot every step_frames columns.
         """
-        if frame_index is not None and frame_index != self._count:
-            raise ValueError(f"out-of-order profile: expected frame {self._count}, got {frame_index}")
-        if len(p.values) != self.n_rows:
+        if len(values) != self.n_rows:
             raise ValueError("profile length does not match buffer rows")
-        if self._epoch is not None and p.epoch < self._epoch:
-            raise ValueError("out-of-order profile: epoch went backwards")
 
-        raw = np.asarray(p.values, dtype=np.float64)
-        if self._epoch is not None and p.epoch != self._epoch and self._last_column is not None:
-            self._offset = self._offset + stitch_epoch_boundary(
-                self._last_column, raw - self._offset
-            )
-        self._epoch = p.epoch
+        raw = np.asarray(values, dtype=np.float64)
+        if self._count > 0 and self.epoch_start:
+            # this order of operations fixes the output bits; raw - last rounds differently
+            self._offset = self._offset + ((raw - self._offset) - self._last_column)
 
         column = raw - self._offset
         self._ring[:, self._head] = column

@@ -258,15 +258,16 @@ class TestCriterion6RealTime:
         assert code == 0
         summary = json.loads(timing_json.read_text())
         frame_budget_ms = 1000.0 / fps
-        pp99 = summary["frame_profile_push"]["p99_ms"]
+        frame_max = summary["frame_total"]["max_ms"]
         an99 = summary["window_analysis"]["p99_ms"]
-        ok = pp99 <= frame_budget_ms and an99 <= 1000.0
+        ok = frame_max <= frame_budget_ms and an99 <= 1000.0
         print()
         report(
             "criterion-6 real-time contract",
             ok,
-            f"profile+push p99={pp99:.3f}ms (<= {frame_budget_ms:.1f}ms), "
-            f"window analysis p99={an99:.1f}ms (<= 1000ms) at 640x480@30",
+            f"whole frame max={frame_max:.3f}ms, epoch starts included "
+            f"(<= {frame_budget_ms:.1f}ms), window analysis p99={an99:.1f}ms (<= 1000ms) "
+            "at 640x480@30",
         )
 
 

@@ -176,6 +176,13 @@ class TestSynthCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("segments", ["15", "0:15:3", "a:15", "0:15,"])
+    def test_malformed_rr_segments_exit_1(self, capsys, tmp_path, segments):
+        code, out, err = run_cli(capsys, "synth", tmp_path / "rec", "--rr-segments", segments)
+        assert code == 1
+        assert "error: --rr-segments must be START:BPM pairs" in err
+        assert not (tmp_path / "rec").exists()
+
     def test_seeded_reruns_are_identical(self, capsys, tmp_path):
         for name in ("a", "b"):
             code, _, _ = run_cli(
@@ -223,6 +230,37 @@ class TestEvalCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("edges,0.30")
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            ("foo,0.30", "unknown profile_mode 'foo'"),
+            ("edges,0.07", "group_frac must divide top_frac"),
+            ("edges", "--single-cell must be MODE,FRACTION"),
+            ("edges,x", "--single-cell must be MODE,FRACTION"),
+            ("edges,0.30,1", "--single-cell must be MODE,FRACTION"),
+        ],
+    )
+    def test_bad_single_cell_is_a_configuration_error(self, capsys, manifest, cell, message):
+        code, out, err = run_cli(capsys, "eval", manifest, "--single-cell", cell)
+        assert code == 1
+        assert out == ""
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("value", ["nan", "abc"])
+    def test_bad_ground_truth_value_fails_cell_exit_2(self, capsys, tmp_path, manifest, value):
+        rec = manifest.parent / "rec"
+        gt = tmp_path / "gt.csv"
+        gt.write_text(f"t,rr_bpm\n0,15\n10,{value}\n")
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps([{
+            "video_path": str(rec / "video.gray8"),
+            "ground_truth_path": str(gt),
+            "landmarks_path": str(rec / "landmarks.csv"),
+        }]))
+        code, out, _ = run_cli(capsys, "eval", bad, "--single-cell", "edges,0.30")
+        assert code == 2
+        assert f"failed: malformed ground-truth row at {gt}:3" in out
 
     def test_missing_ground_truth_fails_cell_exit_2(self, capsys, tmp_path):
         ds = make_recording(tmp_path / "rec", duration_s=25.0, texture_seed=31)

@@ -121,6 +121,14 @@ class TestGroundTruthFile:
             load_ground_truth(p)
 
 
+    @pytest.mark.parametrize("row", ["20,abc", "abc,15", "20,nan", "nan,15", "20,inf", "20,-inf"])
+    def test_rejects_non_numeric_or_non_finite_value(self, tmp_path, row):
+        p = tmp_path / "gt.csv"
+        p.write_text(f"t,rr_bpm\n0,15\n{row}\n")
+        with pytest.raises(ValueError, match="malformed ground-truth row at .*gt.csv:3"):
+            load_ground_truth(p)
+
+
 def write_manifest(path, entries):
     path.write_text(json.dumps(entries))
     return path

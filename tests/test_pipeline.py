@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rrvision import pipeline
 from rrvision.config import RunConfig
 from rrvision.pipeline import StageTimings, run_recording, run_stream
 
@@ -70,13 +71,38 @@ class TestRunStream:
             run_recording(ds.video_path, RunConfig(), landmarks_path=ds.landmarks_path)
 
 
+@pytest.fixture(scope="module")
+def reest_recording(tmp_path_factory):
+    """40 s at 30 FPS, run with re-estimation every 5 s (epochs of 150 frames)."""
+    return make_recording(tmp_path_factory.mktemp("reest") / "rec", duration_s=40.0,
+                          texture_seed=9)
+
+
+def reest_every_5s() -> RunConfig:
+    cfg = RunConfig()
+    cfg.schedule.reest_s = 5.0
+    return cfg
+
+
 class TestEpochStitching:
-    def test_predictions_stay_continuous_across_reestimation(self, tmp_path):
+    def test_predictions_stay_continuous_across_reestimation(self, reest_recording):
         # re-estimate every 5 s: plenty of epoch boundaries inside each window
-        ds = make_recording(tmp_path / "reest", duration_s=40.0, texture_seed=9)
-        cfg = RunConfig()
-        cfg.schedule.reest_s = 5.0
-        preds = run_recording(ds.video_path, cfg, landmarks_path=ds.landmarks_path)
+        ds = reest_recording
+        preds = run_recording(ds.video_path, reest_every_5s(), landmarks_path=ds.landmarks_path)
         valid = [p for p in preds if p.valid]
         assert len(valid) == len(preds)
         assert max(abs(p.rr_bpm - 15.0) for p in valid) < 1.0
+
+    def test_roi_estimated_once_per_epoch_start(self, reest_recording, monkeypatch):
+        calls = []
+        real = pipeline.roi_from_landmarks
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "roi_from_landmarks", counted)
+        ds = reest_recording
+        run_recording(ds.video_path, reest_every_5s(), landmarks_path=ds.landmarks_path)
+        assert ds.meta.frame_count == 1200
+        assert len(calls) == 8  # frames 0, 150, ..., 1050

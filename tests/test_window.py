@@ -4,35 +4,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrvision.config import ScheduleConfig
-from rrvision.profile import Profile1D
-from rrvision.window import MotionBuffer, schedule_reestimation, stitch_epoch_boundary
+from rrvision.window import MotionBuffer
 
 
-def push_columns(buf, columns, epochs=None):
+def push_columns(buf, columns):
     events = []
     for i, col in enumerate(columns):
-        epoch = 0 if epochs is None else epochs[i]
-        ev = buf.push_profile(Profile1D(values=np.asarray(col, dtype=np.float64), epoch=epoch))
+        ev = buf.push_profile(np.asarray(col, dtype=np.float64))
         if ev is not None:
             events.append((i, ev))
     return events
 
 
+def epoch_starts(fps, reest_s, n_frames):
+    """Frames at which the buffer says the next column opens an epoch."""
+    buf = MotionBuffer(1, fps, ScheduleConfig(reest_s=reest_s))
+    hits = []
+    for f in range(n_frames):
+        if buf.epoch_start:
+            hits.append(f)
+        buf.push_profile(np.zeros(1))
+    return hits
+
+
+def stitched(columns, reest_s, fs=10.0):
+    """The buffer's stitched columns, oldest first, for one window of all of them."""
+    n = len(columns)
+    buf = MotionBuffer(len(columns[0]), fs, ScheduleConfig(n / fs, n / fs / 2, reest_s))
+    (_, window), = push_columns(buf, columns)
+    return window.matrix
+
+
 class TestSchedule:
     def test_reestimation_at_epoch_starts(self):
-        hits = [f for f in range(1801) if schedule_reestimation(f, 30.0, 20.0)]
-        assert hits == [0, 600, 1200, 1800]
+        assert epoch_starts(30.0, 20.0, 1801) == [0, 600, 1200, 1800]
 
     def test_frame_601_is_not_a_boundary(self):
-        assert not schedule_reestimation(601, 30.0, 20.0)
+        assert 601 not in epoch_starts(30.0, 20.0, 602)
 
     def test_other_rates(self):
-        hits = [f for f in range(401) if schedule_reestimation(f, 20.0, 10.0)]
-        assert hits == [0, 200, 400]
+        assert epoch_starts(20.0, 10.0, 401) == [0, 200, 400]
+
+    def test_non_integer_rate_rounds_the_period(self):
+        # 20 s at 29.97 fps is 599.4 frames, rounded to 599
+        assert epoch_starts(29.97, 20.0, 1199) == [0, 599, 1198]
 
     def test_period_below_one_frame_rejected(self):
-        with pytest.raises(ValueError, match="re-estimation period"):
-            schedule_reestimation(0, 30.0, 0.01)
+        with pytest.raises(ValueError, match="re-estimation period too short"):
+            MotionBuffer(2, 30.0, ScheduleConfig(reest_s=0.01))
 
 
 class TestCadence:
@@ -75,21 +94,17 @@ class TestCadence:
 class TestWindowContent:
     def test_matches_list_model(self):
         rng = np.random.default_rng(0)
-        buf = MotionBuffer(3, 10.0, ScheduleConfig(window_s=2.0, step_s=1.0))
+        buf = MotionBuffer(3, 10.0, ScheduleConfig(window_s=2.0, step_s=1.0, reest_s=3.7))
         model = []  # brute-force: stitched columns, take last N
         offset = np.zeros(3)
-        epoch = 0
         for i in range(100):
-            if i in (0, 37, 70):  # epoch changes at arbitrary points
-                epoch += 1
             raw = rng.uniform(-10, 10, size=3)
-            prev_epoch = None if not model else model[-1][1]
-            if prev_epoch is not None and epoch != prev_epoch:
-                offset = offset + ((raw - offset) - model[-1][0])
-            model.append((raw - offset, epoch))
-            ev = buf.push_profile(Profile1D(values=raw, epoch=epoch))
+            if i in (37, 74):  # epoch starts of a 3.7 s period at 10 fps
+                offset = offset + ((raw - offset) - model[-1])
+            model.append(raw - offset)
+            ev = buf.push_profile(raw)
             if ev is not None:
-                want = np.stack([c for c, _ in model[-20:]], axis=1)
+                want = np.stack(model[-20:], axis=1)
                 assert ev.matrix == pytest.approx(want, abs=1e-12)
                 assert ev.end_frame == i
 
@@ -104,19 +119,20 @@ class TestWindowContent:
 
 class TestStitching:
     def test_offsets_are_new_minus_prev(self):
-        prev = np.array([10.0, 5.0])
-        new = np.array([14.0, 5.0])
-        assert np.array_equal(stitch_epoch_boundary(prev, new), [4.0, 0.0])
+        # epochs of two columns: the second epoch opens with [14, 5] after [10, 5]
+        raw = np.array([[9.0, 5.0], [10.0, 5.0], [14.0, 5.0], [20.0, 7.0]]).T
+        window = stitched(list(raw.T), reest_s=0.2)
+        assert np.array_equal(window[:, :2], raw[:, :2])
+        assert np.array_equal(raw[:, 2:] - window[:, 2:], [[4.0, 4.0], [0.0, 0.0]])
 
     def test_identical_columns_mean_zero_offset(self):
-        col = np.array([3.0, 4.0])
-        assert np.array_equal(stitch_epoch_boundary(col, col), [0.0, 0.0])
+        raw = np.array([[1.0, 2.0], [3.0, 4.0], [3.0, 4.0], [5.0, 6.0]]).T
+        assert np.array_equal(stitched(list(raw.T), reest_s=0.2), raw)
 
     def test_new_epoch_continues_previous_level(self):
-        buf = MotionBuffer(1, 10.0, ScheduleConfig(window_s=2.0, step_s=1.0))
+        buf = MotionBuffer(1, 10.0, ScheduleConfig(window_s=2.0, step_s=1.0, reest_s=1.0))
         cols = [[float(i)] for i in range(10)] + [[100.0 + i] for i in range(10)]
-        epochs = [0] * 10 + [1] * 10
-        events = push_columns(buf, cols, epochs)
+        events = push_columns(buf, cols)
         window = events[-1][1].matrix[0]
         # first column of epoch 1 must equal last of epoch 0 (9.0), rest follow
         assert window[9] == 9.0
@@ -126,9 +142,9 @@ class TestStitching:
     def test_preserves_within_epoch_first_differences(self):
         rng = np.random.default_rng(1)
         raw = rng.uniform(0, 50, size=(2, 40))
-        buf = MotionBuffer(2, 10.0, ScheduleConfig(window_s=2.0, step_s=1.0))
-        epochs = [0] * 15 + [1] * 15 + [2] * 10
-        events = push_columns(buf, list(raw.T), epochs)
+        buf = MotionBuffer(2, 10.0, ScheduleConfig(window_s=2.0, step_s=1.0, reest_s=1.5))
+        epochs = [i // 15 for i in range(40)]
+        events = push_columns(buf, list(raw.T))
         window = events[-1][1].matrix  # last 20 columns = columns 20..39
         for row in range(2):
             for i in range(21, 40):
@@ -146,23 +162,10 @@ class TestStitching:
         sigma = 0.05
         base = 20 * np.sin(2 * np.pi * 0.3 * t) + rng.normal(0, sigma, size=n)
         jumped = base + np.where(np.arange(n) >= 30, 35.0, 0.0)  # +35 at the boundary
-        buf = MotionBuffer(1, fs, ScheduleConfig(window_s=4.0, step_s=2.0))
-        epochs = [0 if i < 30 else 1 for i in range(n)]
-        events = push_columns(buf, [[v] for v in jumped], epochs)
+        buf = MotionBuffer(1, fs, ScheduleConfig(window_s=4.0, step_s=2.0, reest_s=3.0))
+        events = push_columns(buf, [[v] for v in jumped])
         window = events[-1][1].matrix[0]  # columns 20..59, boundary at col 10
         raw_step = np.abs(np.diff(jumped[20:]))[9]
         stitched_step = np.abs(np.diff(window))[9]
         assert raw_step > 30  # the jump really was there
         assert stitched_step <= sigma
-
-    def test_out_of_order_frame_rejected(self):
-        buf = MotionBuffer(2, 10.0, ScheduleConfig(window_s=2.0, step_s=1.0))
-        buf.push_profile(Profile1D(values=np.zeros(2), epoch=0), frame_index=0)
-        with pytest.raises(ValueError, match="out-of-order"):
-            buf.push_profile(Profile1D(values=np.zeros(2), epoch=0), frame_index=2)
-
-    def test_epoch_regression_rejected(self):
-        buf = MotionBuffer(2, 10.0, ScheduleConfig(window_s=2.0, step_s=1.0))
-        buf.push_profile(Profile1D(values=np.zeros(2), epoch=1))
-        with pytest.raises(ValueError, match="epoch"):
-            buf.push_profile(Profile1D(values=np.zeros(2), epoch=0))
