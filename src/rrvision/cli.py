@@ -7,6 +7,7 @@ evaluation failure (some ablation cells failed but the run completed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -18,50 +19,62 @@ from .pipeline import StageTimings, run_stream
 PREDICTION_HEADER = "t_seconds,rr_bpm,group_index,n_peaks,valid"
 
 
+# synth flags, each named after its SynthConfig field; --config sets any field
+SYNTH_FLAGS = ("width", "height", "fps", "duration_s", "rr_segments", "noise_sigma",
+               "amplitude_px", "texture_seed", "pixel_format", "container", "roi_jump_at_s")
+
+
 def _add_run_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON config file (flags override it)")
-    p.add_argument("--profile-mode", choices=["edges", "full_roi"], dest="profile_mode")
-    p.add_argument("--canonical-len", type=int, dest="canonical_len")
-    g = p.add_argument_group("schedule")
-    g.add_argument("--window-s", type=float, dest="schedule.window_s")
-    g.add_argument("--step-s", type=float, dest="schedule.step_s")
-    g.add_argument("--reest-s", type=float, dest="schedule.reest_s")
-    g = p.add_argument_group("canny")
-    g.add_argument("--sigma", type=float, dest="canny.sigma")
-    g.add_argument("--low", type=float, dest="canny.low")
-    g.add_argument("--high", type=float, dest="canny.high")
-    g.add_argument("--dilation-radius", type=int, dest="canny.dilation_radius")
-    g = p.add_argument_group("roi geometry")
-    g.add_argument("--k-w", type=float, dest="geometry.k_w")
-    g.add_argument("--k-top", type=float, dest="geometry.k_top")
-    g.add_argument("--k-h", type=float, dest="geometry.k_h")
-    g = p.add_argument_group("breathing")
-    g.add_argument("--top-frac", type=float, dest="breathing.top_frac")
-    g.add_argument("--group-frac", type=float, dest="breathing.group_frac")
-    g.add_argument("--smooth-s", type=float, dest="breathing.smooth_s")
-    g.add_argument("--rr-min", type=float, dest="breathing.rr_min")
-    g.add_argument("--rr-max", type=float, dest="breathing.rr_max")
-    g.add_argument("--prominence-factor", type=float, dest="breathing.prominence_factor")
-    g.add_argument("--min-peaks", type=int, dest="breathing.min_peaks")
-    g.add_argument("--cycles-per-peak", type=float, dest="breathing.cycles_per_peak")
+    _add_config_flags(p, cfgmod.RunConfig())
+
+
+def _add_config_flags(p, obj, names=None, section: str = "") -> None:
+    """Add --<field> for each named field of obj (default: all), a group per section.
+
+    Dests are "<section>.<field>", or ".<field>" at the top, so _flag_overrides finds
+    them. A field's "choices" metadata limits its flag; a list field takes text.
+    """
+    fields = {f.name: f for f in dataclasses.fields(obj)}
+    for name in names or fields:
+        default, choices = getattr(obj, name), fields[name].metadata.get("choices")
+        if dataclasses.is_dataclass(default):
+            _add_config_flags(p.add_argument_group(name, type(default).__doc__), default,
+                              section=name)
+        elif name != "fixed_roi":  # --fixed-roi x,y,w,h goes through _parse_roi
+            kind = {list: str, type(None): float}.get(type(default), type(default))
+            p.add_argument("--" + name.replace("_", "-"), type=kind, dest=f"{section}.{name}",
+                           choices=choices, metavar=None if choices else name.upper(),
+                           help=f"default: {default}")
+
+
+def _flag_overrides(args: argparse.Namespace) -> dict:
+    """The config flags given on the command line, as a nested dict."""
+    overrides: dict = {}
+    for key, value in vars(args).items():
+        section, dot, name = key.rpartition(".")
+        if dot and value is not None:
+            (overrides.setdefault(section, {}) if section else overrides)[name] = value
+    return overrides
 
 
 def _build_run_config(args: argparse.Namespace) -> cfgmod.RunConfig:
     cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
-    overrides: dict = {}
-    for key, value in vars(args).items():
-        if value is None:
-            continue
-        if "." in key:  # section flags use dotted dests, e.g. "canny.sigma"
-            section, name = key.split(".", 1)
-            overrides.setdefault(section, {})[name] = value
-        elif key in ("profile_mode", "canonical_len"):
-            overrides[key] = value
-    cfgmod.apply_overrides(cfg, overrides)
+    overrides = _flag_overrides(args)
     if getattr(args, "fixed_roi", None):
-        cfg.fixed_roi = tuple(int(v) for v in args.fixed_roi.split(","))
+        overrides["fixed_roi"] = _parse_roi(args.fixed_roi)
+    cfgmod.apply_overrides(cfg, overrides, "flags")
     cfg.validate()
     return cfg
+
+
+def _parse_roi(text: str) -> list[int]:
+    """Parse "x,y,w,h" into four integers."""
+    try:
+        x, y, w, h = (int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError("fixed_roi must be four integers x,y,w,h") from None
+    return [x, y, w, h]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -92,9 +105,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             print("warning: input shorter than the analysis window; no predictions",
                   file=sys.stderr)
             out = _open_predictions(args.out)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     finally:
         if args.out and out is not None:
             out.close()
@@ -124,30 +134,14 @@ def _fmt(v) -> str:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    d: dict = {}
+    scfg = synth.SynthConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-    scfg = synth.SynthConfig()
-    for key, value in d.items():
-        if not hasattr(scfg, key):
-            print(f"error: unknown synth config key {key}", file=sys.stderr)
-            return 1
-        setattr(scfg, key, value)
-    if args.rr_segments:
-        scfg.rr_segments = _parse_segments(args.rr_segments)
-    for name in ("width", "height", "fps", "duration_s", "noise_sigma", "texture_seed",
-                 "amplitude_px", "pixel_format", "container", "roi_jump_at_s"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(scfg, name, value)
-    scfg.rr_segments = [tuple(seg) for seg in scfg.rr_segments]
-    try:
-        scfg.validate()
-        ds = synth.generate(scfg, args.out_dir)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            cfgmod.apply_overrides(scfg, json.load(fh), "config")
+    flags = {k: _parse_segments(v) if isinstance(getattr(scfg, k), list) else v
+             for k, v in _flag_overrides(args).items()}
+    cfgmod.apply_overrides(scfg, flags, "flags")
+    ds = synth.generate(scfg, args.out_dir)
     print(f"wrote {ds.meta.frame_count} frames to {ds.video_path}")
     return 0
 
@@ -166,20 +160,16 @@ def _parse_segments(text: str) -> list[tuple[float, float]]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
-    try:
-        recordings = evaluate.load_dataset_manifest(args.manifest)
-        if args.single_cell:
-            mode, _, frac = args.single_cell.partition(",")
-            try:
-                fraction = float(frac)
-            except ValueError:
-                raise ValueError("--single-cell must be MODE,FRACTION") from None
-            cells = [evaluate.run_cell(recordings, cfg, mode, fraction)]
-        else:
-            cells = evaluate.ablation(recordings, cfg)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    recordings = evaluate.load_dataset_manifest(args.manifest)
+    if args.single_cell:
+        mode, _, frac = args.single_cell.partition(",")
+        try:
+            fraction = float(frac)
+        except ValueError:
+            raise ValueError("--single-cell must be MODE,FRACTION") from None
+        cells = [evaluate.run_cell(recordings, cfg, mode, fraction)]
+    else:
+        cells = evaluate.ablation(recordings, cfg)
     table = evaluate.format_table(cells)
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
@@ -210,17 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic breathing recording")
     p_synth.add_argument("out_dir", type=Path)
     p_synth.add_argument("--config", type=Path, help="JSON file of SynthConfig fields")
-    p_synth.add_argument("--width", type=int)
-    p_synth.add_argument("--height", type=int)
-    p_synth.add_argument("--fps", type=float)
-    p_synth.add_argument("--duration-s", type=float, dest="duration_s")
-    p_synth.add_argument("--rr-segments", help='e.g. "0:15,30:20" (start_s:rr_bpm pairs)')
-    p_synth.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    p_synth.add_argument("--amplitude-px", type=float, dest="amplitude_px")
-    p_synth.add_argument("--texture-seed", type=int, dest="texture_seed")
-    p_synth.add_argument("--pixel-format", choices=["RGB24", "GRAY8"], dest="pixel_format")
-    p_synth.add_argument("--container", choices=["raw", "images"])
-    p_synth.add_argument("--roi-jump-at-s", type=float, dest="roi_jump_at_s")
+    _add_config_flags(p_synth, synth.SynthConfig(), SYNTH_FLAGS)
     p_synth.set_defaults(func=cmd_synth)
 
     p_eval = sub.add_parser("eval", help="score recordings and emit the ablation table")

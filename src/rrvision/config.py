@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 # smallest ROI side, in pixels, that fixed_roi, ROI clamping and Canny accept
 MIN_ROI_SIDE = 8
+PROFILE_MODES = ("edges", "full_roi")
 
 
 @dataclass
@@ -96,7 +98,7 @@ class RunConfig:
     canny: CannyConfig = field(default_factory=CannyConfig)
     geometry: RoiGeometryConfig = field(default_factory=RoiGeometryConfig)
     breathing: BreathingConfig = field(default_factory=BreathingConfig)
-    profile_mode: str = "edges"  # "edges" | "full_roi"
+    profile_mode: str = field(default="edges", metadata={"choices": PROFILE_MODES})
     canonical_len: int = 100
     fixed_roi: Optional[tuple[int, int, int, int]] = None
 
@@ -104,54 +106,63 @@ class RunConfig:
         self.schedule.validate()
         self.canny.validate()
         self.breathing.validate()
-        if self.profile_mode not in ("edges", "full_roi"):
+        if self.profile_mode not in PROFILE_MODES:
             raise ValueError(f"unknown profile_mode {self.profile_mode!r}")
         if self.canonical_len < 2:
             raise ValueError("canonical_len must be >= 2")
         if self.fixed_roi is not None:
-            if len(self.fixed_roi) != 4:
-                raise ValueError("fixed_roi must be four integers x,y,w,h")
             x, y, w, h = self.fixed_roi
             if w < MIN_ROI_SIDE or h < MIN_ROI_SIDE:
                 raise ValueError(f"fixed_roi smaller than {MIN_ROI_SIDE}x{MIN_ROI_SIDE}")
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        if d["fixed_roi"] is not None:
-            d["fixed_roi"] = list(d["fixed_roi"])
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         cfg = cls()
-        apply_overrides(cfg, d)
+        apply_overrides(cfg, d, "config")
         return cfg
 
 
-_SECTIONS = {
-    "schedule": ScheduleConfig,
-    "canny": CannyConfig,
-    "geometry": RoiGeometryConfig,
-    "breathing": BreathingConfig,
-}
+def apply_overrides(obj, d: dict, where: str, _prefix: str = "") -> None:
+    """Set fields of the config dataclass obj from a (possibly partial) nested dict.
 
-
-def apply_overrides(cfg: RunConfig, d: dict) -> None:
-    """Apply a (possibly partial) nested dict onto cfg in place."""
+    A field whose default is a dataclass is a section and takes a nested dict,
+    fixed_roi goes through fixed_roi_from_json, and any other value must fit
+    the type of the field's default (see _fits); else ValueError.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: {_prefix[:-1] or 'config'} must be an object, not {d!r}")
+    fields = {f.name: f for f in dataclasses.fields(obj)}
     for key, value in d.items():
-        if key in _SECTIONS:
-            sub = getattr(cfg, key)
-            names = {f.name for f in dataclasses.fields(sub)}
-            for k, v in value.items():
-                if k not in names:
-                    raise ValueError(f"unknown config key {key}.{k}")
-                setattr(sub, k, v)
+        name, f = _prefix + key, fields.get(key)
+        if f is None:
+            raise ValueError(f"{where}: unknown config key {name}")
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if dataclasses.is_dataclass(default):
+            apply_overrides(getattr(obj, key), value, where, name + ".")
         elif key == "fixed_roi":
-            cfg.fixed_roi = fixed_roi_from_json(value, "config")
-        elif key in ("profile_mode", "canonical_len"):
-            setattr(cfg, key, value)
+            obj.fixed_roi = fixed_roi_from_json(value, where)
+        elif not _fits(default, value):
+            raise ValueError(f"{where}: {name} must be {_KINDS[type(default)]}, not {value!r}")
         else:
-            raise ValueError(f"unknown config key {key}")
+            setattr(obj, key, [tuple(p) for p in value] if isinstance(default, list) else value)
+
+
+# what a value must be, by the type of its field's default
+_KINDS = {float: "a finite number", int: "an integer", str: "a string",
+          type(None): "null or a finite number", list: "a list of finite [start, bpm] pairs"}
+
+
+def _fits(default, value) -> bool:
+    """Whether value fits a field with this default; an int passes for a float."""
+    finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if isinstance(default, list):
+        return isinstance(value, list) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(_fits(0.0, v) for v in p)
+            for p in value
+        )
+    if default is None:
+        return value is None or finite
+    return finite if isinstance(default, float) else type(value) is type(default)
 
 
 def fixed_roi_from_json(value, where: str) -> Optional[tuple[int, int, int, int]]:
@@ -166,12 +177,11 @@ def fixed_roi_from_json(value, where: str) -> Optional[tuple[int, int, int, int]
 def load_config(path) -> RunConfig:
     """Load a RunConfig from a JSON file (missing keys keep defaults)."""
     with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    cfg = RunConfig.from_dict(d)
+        cfg = RunConfig.from_dict(json.load(fh))
     cfg.validate()
     return cfg
 
 
 def dump_config(cfg: RunConfig) -> str:
     """Serialize a config so that loading it back reproduces the run exactly."""
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"

@@ -8,6 +8,7 @@ at the greatest ground-truth time <= t.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .breathing import RRPrediction
-from .config import RunConfig, fixed_roi_from_json
+from .config import RunConfig, apply_overrides, fixed_roi_from_json
 from .pipeline import run_recording
 
 SR_BOUND_BPM = 2.0
@@ -137,10 +138,10 @@ def load_dataset_manifest(path) -> list[RecordingSpec]:
     for e in entries:
         if not isinstance(e, dict) or not all(
             isinstance(e.get(k), str) for k in ("video_path", "ground_truth_path")
-        ):
+        ) or not isinstance(e.get("landmarks_path"), (str, type(None))):
             raise ValueError(
                 f"recording {e!r} in {path} must be an object with string video_path and "
-                "ground_truth_path"
+                "ground_truth_path, and a string landmarks_path if any"
             )
         video = base / e["video_path"]
         gt = base / e["ground_truth_path"]
@@ -153,10 +154,10 @@ def load_dataset_manifest(path) -> list[RecordingSpec]:
 
 
 def _cell_config(base: RunConfig, mode: str, fraction: float) -> RunConfig:
-    cfg = RunConfig.from_dict(base.to_dict())
-    cfg.profile_mode = mode
-    cfg.breathing.top_frac = fraction
-    cfg.breathing.group_frac = min(cfg.breathing.group_frac, fraction)
+    cfg = copy.deepcopy(base)
+    group_frac = min(cfg.breathing.group_frac, fraction)
+    cell = {"profile_mode": mode, "breathing": {"top_frac": fraction, "group_frac": group_frac}}
+    apply_overrides(cfg, cell, "ablation cell")
     cfg.validate()
     return cfg
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,7 @@ import numpy as np
 
 RGB24 = "RGB24"
 GRAY8 = "GRAY8"
+PIXEL_FORMATS = (RGB24, GRAY8)
 
 MANIFEST_NAME = "meta.json"
 _MANIFEST_KEYS = {"width", "height", "fps", "frame_count", "pixel_format"}
@@ -40,13 +42,18 @@ class VideoMeta:
     pixel_format: str
 
     def __post_init__(self):
+        sizes = (self.width, self.height, self.frame_count)
+        if not all(type(v) is int for v in sizes):
+            raise ValueError(f"width, height and frame_count must be integers, not {sizes}")
+        if type(self.fps) not in (int, float) or not math.isfinite(self.fps):
+            raise ValueError(f"fps must be a finite number, not {self.fps!r}")
         if self.width < 16 or self.height < 16:
             raise ValueError("frame dimensions must be at least 16x16")
         if not self.fps > 0:
             raise ValueError("fps must be positive")
         if self.frame_count < 0:
             raise ValueError("frame_count must be >= 0")
-        if self.pixel_format not in (RGB24, GRAY8):
+        if self.pixel_format not in PIXEL_FORMATS:
             raise ValueError(f"unknown pixel_format {self.pixel_format!r}")
 
     @property
@@ -72,17 +79,10 @@ def load_manifest(path: Path) -> VideoMeta:
         raise FileNotFoundError(f"missing manifest {path}")
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    if set(d) != _MANIFEST_KEYS:
-        raise ValueError(
-            f"manifest keys must be exactly {sorted(_MANIFEST_KEYS)}, got {sorted(d)}"
-        )
-    return VideoMeta(
-        width=int(d["width"]),
-        height=int(d["height"]),
-        fps=float(d["fps"]),
-        frame_count=int(d["frame_count"]),
-        pixel_format=str(d["pixel_format"]),
-    )
+    if not isinstance(d, dict) or set(d) != _MANIFEST_KEYS:
+        raise ValueError(f"manifest must be an object with keys exactly {sorted(_MANIFEST_KEYS)}, "
+                         f"got {sorted(d) if isinstance(d, dict) else d!r}")
+    return VideoMeta(**d)
 
 
 def write_manifest(path: Path, meta: VideoMeta) -> None:

@@ -34,13 +34,18 @@ from pathlib import Path
 import numpy as np
 
 from .config import RoiGeometryConfig
-from .ingest import GRAY8, RGB24, VideoMeta, write_manifest, write_pnm
+from .ingest import PIXEL_FORMATS, RGB24, VideoMeta, write_manifest, write_pnm
 from .roi import LandmarkSet, RoiRect, roi_from_landmarks, write_landmark_track
 
 RR_FLOOR, RR_CEIL = 6.0, 45.0
+CONTAINERS = ("raw", "images")
 
 _BASE_LEVEL = 150.0
 _TEMPLATE_PAD = 16  # head-room rows revealed by a downward content jump
+_BAND_PX = 5  # background texture band height
+_CHEST_CONTRAST = 100.0  # chest darkness below the background level
+_QUIET_MARGIN_PX = 6  # textureless rows beyond the boundary's travel
+_JUMP_DY_PX = 6  # downward content shift at roi_jump_at_s
 
 
 @dataclass
@@ -56,14 +61,10 @@ class SynthConfig:
     texture_seed: int = 0
     roi_jump_at_s: float | None = None
     # scene-shaping knobs
-    pixel_format: str = RGB24
-    container: str = "raw"  # "raw" | "images"
+    pixel_format: str = field(default=RGB24, metadata={"choices": PIXEL_FORMATS})
+    container: str = field(default="raw", metadata={"choices": CONTAINERS})
     chest_width_frac: float = 0.5  # chest span as a fraction of the ROI width
-    band_px: int = 5
     band_contrast: float = 60.0
-    chest_contrast: float = 100.0
-    quiet_margin_px: int = 6
-    jump_dy_px: int = 6
     walk_row_frac: float = 0.0
     walk_amplitude: float = 0.0  # target std of the walk over a 20 s window
 
@@ -82,9 +83,9 @@ class SynthConfig:
                 raise ValueError(f"rr {rr} outside [{RR_FLOOR}, {RR_CEIL}] BPM")
         if self.amplitude_px < 0:
             raise ValueError("amplitude_px must be >= 0")
-        if self.pixel_format not in (RGB24, GRAY8):
+        if self.pixel_format not in PIXEL_FORMATS:
             raise ValueError(f"unknown pixel_format {self.pixel_format!r}")
-        if self.container not in ("raw", "images"):
+        if self.container not in CONTAINERS:
             raise ValueError(f"unknown container {self.container!r}")
         if not 0 < self.chest_width_frac <= 1:
             raise ValueError("chest_width_frac must be in (0, 1]")
@@ -92,6 +93,10 @@ class SynthConfig:
     @property
     def frame_count(self) -> int:
         return int(round(self.duration_s * self.fps))
+
+    @property
+    def meta(self) -> VideoMeta:
+        return VideoMeta(self.width, self.height, self.fps, self.frame_count, self.pixel_format)
 
     def rr_at(self, t: float) -> float:
         rr = self.rr_segments[0][1]
@@ -143,19 +148,12 @@ def scene_geometry(cfg: SynthConfig) -> SceneGeometry:
         left_ear=(mid_x - wf / 2.0, float(ear_y)),
         right_ear=(mid_x + wf / 2.0, float(ear_y)),
     )
-    meta = VideoMeta(
-        width=cfg.width,
-        height=cfg.height,
-        fps=cfg.fps,
-        frame_count=cfg.frame_count,
-        pixel_format=cfg.pixel_format,
-    )
-    roi = roi_from_landmarks(lm, meta, RoiGeometryConfig())
+    roi = roi_from_landmarks(lm, cfg.meta, RoiGeometryConfig())
     boundary_y = roi.y + round(0.45 * roi.h)
     cw = max(4, round(cfg.chest_width_frac * roi.w))
     chest_x0 = mid_x - cw // 2
     chest_x1 = chest_x0 + cw
-    quiet_half = math.ceil(cfg.amplitude_px) + cfg.quiet_margin_px
+    quiet_half = math.ceil(cfg.amplitude_px) + _QUIET_MARGIN_PX
     return SceneGeometry(lm, roi, boundary_y, chest_x0, chest_x1, quiet_half)
 
 
@@ -182,7 +180,7 @@ class _Scene:
         # every motion signal is a monotone function of the displacement
         # (mixed-polarity moving edges would let opposite-phase pulse rows
         # average into clean frequency-doubled waves)
-        chest_dark = float(np.clip(_BASE_LEVEL - cfg.chest_contrast, 5, 250))
+        chest_dark = float(np.clip(_BASE_LEVEL - _CHEST_CONTRAST, 5, 250))
         self._chest = np.full(2 * h, chest_dark, dtype=np.float64)
         self._chest_pos = np.arange(2 * h, dtype=np.float64)
 
@@ -208,10 +206,10 @@ class _Scene:
     def _band_texture(
         self, rng: np.random.Generator, n: int, base: float, contrast: float
     ) -> np.ndarray:
-        n_bands = n // self.cfg.band_px + 2
+        n_bands = n // _BAND_PX + 2
         signs = np.where(np.arange(n_bands) % 2 == 0, 1.0, -1.0)
         levels = base + signs * rng.uniform(0.6, 1.0, size=n_bands) * contrast
-        return np.clip(levels, 5, 250)[np.arange(n) // self.cfg.band_px]
+        return np.clip(levels, 5, 250)[np.arange(n) // _BAND_PX]
 
     def displacement(self, frame_index: int) -> float:
         t = frame_index / self.cfg.fps
@@ -221,14 +219,14 @@ class _Scene:
         return self.jump_frame is not None and frame_index >= self.jump_frame
 
     def boundary_at(self, frame_index: int) -> float:
-        dy = self.cfg.jump_dy_px if self._jumped(frame_index) else 0
+        dy = _JUMP_DY_PX if self._jumped(frame_index) else 0
         return self.geom.boundary_y + dy + self.displacement(frame_index)
 
     def render(self, frame_index: int) -> np.ndarray:
         """One grayscale frame as float64 (h, w), before quantization."""
         cfg = self.cfg
         h, w = cfg.height, cfg.width
-        dy = cfg.jump_dy_px if self._jumped(frame_index) else 0
+        dy = _JUMP_DY_PX if self._jumped(frame_index) else 0
         static = self._static_ext[_TEMPLATE_PAD - dy : _TEMPLATE_PAD - dy + h]
 
         b = self.boundary_at(frame_index)
@@ -271,13 +269,7 @@ def generate(cfg: SynthConfig, out_path) -> SynthDataset:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     scene = _Scene(cfg)
-    meta = VideoMeta(
-        width=cfg.width,
-        height=cfg.height,
-        fps=cfg.fps,
-        frame_count=cfg.frame_count,
-        pixel_format=cfg.pixel_format,
-    )
+    meta = cfg.meta
     write_manifest(out_dir / "meta.json", meta)
 
     if cfg.container == "raw":
@@ -303,7 +295,7 @@ def generate(cfg: SynthConfig, out_path) -> SynthDataset:
     records = [scene.geom.landmarks]
     if scene.jump_frame is not None and 0 < scene.jump_frame < cfg.frame_count:
         lm0 = scene.geom.landmarks
-        dy = float(cfg.jump_dy_px)
+        dy = float(_JUMP_DY_PX)
         records.append(
             LandmarkSet(
                 frame_index=scene.jump_frame,

@@ -306,3 +306,175 @@ def test_console_entry_point_help():
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "synth" in proc.stdout and "eval" in proc.stdout
+
+
+def _parser_options(command):
+    from rrvision.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if hasattr(a, "choices") and a.choices)
+    return sorted(o for a in sub.choices[command]._actions for o in a.option_strings)
+
+
+_RUN_CONFIG_OPTIONS = [
+    "--canonical-len", "--config", "--cycles-per-peak", "--dilation-radius", "--group-frac",
+    "--help", "--high", "--k-h", "--k-top", "--k-w", "--low", "--min-peaks", "--profile-mode",
+    "--prominence-factor", "--reest-s", "--rr-max", "--rr-min", "--sigma", "--smooth-s",
+    "--step-s", "--top-frac", "--window-s", "-h",
+]
+
+
+class TestGeneratedFlags:
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("run", _RUN_CONFIG_OPTIONS + ["--dump-config", "--fixed-roi", "--landmarks",
+                                           "--out", "--timing-json"]),
+            ("eval", _RUN_CONFIG_OPTIONS + ["--out", "--single-cell"]),
+            ("synth", ["--amplitude-px", "--config", "--container", "--duration-s", "--fps",
+                       "--height", "--help", "--noise-sigma", "--pixel-format",
+                       "--roi-jump-at-s", "--rr-segments", "--texture-seed", "--width", "-h"]),
+        ],
+    )
+    def test_option_strings_are_unchanged(self, command, options):
+        assert _parser_options(command) == sorted(options)
+
+    @pytest.mark.parametrize(
+        "flag, key, value",
+        [
+            ("--window-s", "schedule.window_s", 30.0),
+            ("--step-s", "schedule.step_s", 2.0),
+            ("--reest-s", "schedule.reest_s", 10.0),
+            ("--sigma", "canny.sigma", 1.2),
+            ("--low", "canny.low", 40.0),
+            ("--high", "canny.high", 90.0),
+            ("--dilation-radius", "canny.dilation_radius", 1),
+            ("--k-w", "geometry.k_w", 1.2),
+            ("--k-top", "geometry.k_top", 0.4),
+            ("--k-h", "geometry.k_h", 1.3),
+            ("--top-frac", "breathing.top_frac", 0.2),
+            ("--group-frac", "breathing.group_frac", 0.1),
+            ("--smooth-s", "breathing.smooth_s", 0.5),
+            ("--rr-min", "breathing.rr_min", 5.0),
+            ("--rr-max", "breathing.rr_max", 40.0),
+            ("--prominence-factor", "breathing.prominence_factor", 0.2),
+            ("--min-peaks", "breathing.min_peaks", 4),
+            ("--cycles-per-peak", "breathing.cycles_per_peak", 0.5),
+            ("--profile-mode", "profile_mode", "full_roi"),
+            ("--canonical-len", "canonical_len", 50),
+        ],
+    )
+    def test_flag_sets_exactly_its_field(self, capsys, flag, key, value):
+        def flat(d, prefix=""):
+            out = {}
+            for k, v in d.items():
+                out.update(flat(v, f"{prefix}{k}.") if isinstance(v, dict) else {prefix + k: v})
+            return out
+
+        _, default, _ = run_cli(capsys, "run", "v.gray8", "--dump-config")
+        code, dumped, _ = run_cli(capsys, "run", "v.gray8", flag, str(value), "--dump-config")
+        assert code == 0
+        before, after = flat(json.loads(default)), flat(json.loads(dumped))
+        assert {k for k in after if after[k] != before[k]} == {key}
+        assert after[key] == value and type(after[key]) is type(value)
+
+
+class TestConfigTypeChecks:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            '{"breathing": 5}',
+            '{"breathing": {"top_frac": "x"}}',
+            '{"schedule": {"reest_s": null}}',
+            '{"schedule": {"window_s": Infinity}}',
+            '{"canny": {"sigma": NaN}}',
+            '{"canny": {"dilation_radius": true}}',
+            '{"canonical_len": 2.5}',
+            '{"profile_mode": 1}',
+            '[1]',
+        ],
+    )
+    def test_bad_run_config_value_exits_1(self, capsys, tmp_path, config):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(config)
+        code, out, err = run_cli(capsys, "run", "v.gray8", "--config", cfg_file, "--dump-config")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: config: ")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--window-s", "inf"], ["--step-s", "nan"], ["--k-w=-inf"], ["--top-frac", "nan"]],
+    )
+    def test_non_finite_run_flag_exits_1(self, capsys, tmp_path, flags):
+        code, out, err = run_cli(capsys, "run", "v.gray8", *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: flags: ") and "must be a finite number" in err
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            '{"rr_segments": 5}',
+            '{"rr_segments": [[0, "x"]]}',
+            '{"rr_segments": [[0, 15, 1]]}',
+            '{"width": "abc"}',
+            '{"fps": Infinity}',
+            '{"roi_jump_at_s": "soon"}',
+            '{"container": null}',
+        ],
+    )
+    def test_bad_synth_config_value_exits_1(self, capsys, tmp_path, config):
+        cfg_file = tmp_path / "s.json"
+        cfg_file.write_text(config)
+        code, _, err = run_cli(capsys, "synth", tmp_path / "rec", "--config", cfg_file)
+        assert code == 1
+        assert err.startswith("error: config: ")
+        assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--fps", "inf"], ["--duration-s", "nan"], ["--roi-jump-at-s", "nan"],
+         ["--amplitude-px", "inf"]],
+    )
+    def test_non_finite_synth_flag_exits_1(self, capsys, tmp_path, flags):
+        code, _, err = run_cli(capsys, "synth", tmp_path / "rec", *flags)
+        assert code == 1
+        assert err.startswith("error: flags: ") and "finite number" in err
+        assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize("key", ["band_px", "chest_contrast", "quiet_margin_px", "jump_dy_px"])
+    def test_scene_constants_are_not_synth_config_keys(self, capsys, tmp_path, key):
+        cfg_file = tmp_path / "s.json"
+        cfg_file.write_text(json.dumps({key: 5}))
+        code, _, err = run_cli(capsys, "synth", tmp_path / "rec", "--config", cfg_file)
+        assert code == 1
+        assert f"error: config: unknown config key {key}" in err
+
+    def test_synth_flags_override_config_file(self, capsys, tmp_path):
+        cfg_file = tmp_path / "s.json"
+        cfg_file.write_text(json.dumps({"duration_s": 5.0, "pixel_format": "GRAY8", "fps": 10}))
+        code, out, _ = run_cli(capsys, "synth", tmp_path / "rec", "--config", cfg_file,
+                               "--duration-s", "1")
+        assert code == 0
+        assert "wrote 10 frames" in out
+
+
+def test_manifest_with_infinite_fps_exits_1(capsys, tmp_path):
+    ds = make_recording(tmp_path / "rec", duration_s=1.0)
+    meta = json.loads((ds.out_dir / "meta.json").read_text())
+    (ds.out_dir / "meta.json").write_text(json.dumps({**meta, "fps": float("inf")}))
+    code, out, err = run_cli(capsys, "run", ds.video_path)
+    assert code == 1
+    assert out == ""
+    assert "error: fps must be a finite number, not inf" in err
+
+
+def test_non_string_landmarks_path_exits_1(capsys, tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{
+        "video_path": "rec/video.gray8", "ground_truth_path": "rec/gt.csv", "landmarks_path": 5,
+    }]))
+    code, out, err = run_cli(capsys, "eval", manifest)
+    assert code == 1
+    assert out == ""
+    assert "error: recording " in err and "string landmarks_path" in err

@@ -54,11 +54,25 @@ class TestManifest:
         with pytest.raises(ValueError, match="exactly"):
             load_manifest(tmp_path / "meta.json")
 
+    @pytest.mark.parametrize("payload", ["5", "[]", '["width"]'])
+    def test_non_object_rejected(self, tmp_path, payload):
+        (tmp_path / "meta.json").write_text(payload)
+        with pytest.raises(ValueError, match="must be an object"):
+            load_manifest(tmp_path / "meta.json")
+
     @pytest.mark.parametrize("bad", [dict(width=8), dict(fps=0), dict(frame_count=-1),
                                      dict(pixel_format="YUV")])
     def test_invariants(self, tmp_path, bad):
         _write_manifest(None, tmp_path, **bad)
         with pytest.raises(ValueError):
+            load_manifest(tmp_path / "meta.json")
+
+    @pytest.mark.parametrize("bad", [dict(fps=float("inf")), dict(fps=float("nan")),
+                                     dict(fps="30"), dict(width=32.9), dict(height=24.5),
+                                     dict(frame_count=3.5), dict(frame_count=True)])
+    def test_non_finite_fps_or_fractional_sizes_rejected(self, tmp_path, bad):
+        _write_manifest(None, tmp_path, **bad)
+        with pytest.raises(ValueError, match="finite number|must be integers"):
             load_manifest(tmp_path / "meta.json")
 
 
