@@ -1,9 +1,15 @@
-"""Golden prediction rows: refactors of the frame path must not move any output.
+"""Golden outputs: refactors of the frame path or the analysis must not move any output.
 
 Two small 160x120 recordings (RGB24 raw, and a GRAY8 PGM directory whose
 scene jumps mid-stream) run through ``rrvision run`` in every profile mode
 x signal fraction x re-estimation period below. The rows it writes must
 equal the committed files under ``tests/golden/`` byte for byte.
+
+The same two recordings plus one with loud random-walk rows form the corpus
+of the ablation tables: ``evaluate.format_table`` over the default four
+cells, and over fractions that fall below the group fraction (0.02) and
+between the defaults (0.15). The tables are the only output that shows
+``best_group_ge2_share``.
 
 To rewrite the files after an intended output change, run
 ``PYTHONPATH=src python3 tests/test_golden.py`` and say why in CHANGES.md.
@@ -16,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from rrvision import evaluate
 from rrvision.cli import main
+from rrvision.config import RunConfig
 
 from conftest import make_recording
 
@@ -32,6 +40,9 @@ MODES = ("edges", "full_roi")
 FRACTIONS = ("0.05", "0.30")
 REEST_S = ("20", "5")
 DURATION_S = 24.0
+# the ablation corpus adds one recording whose loudest rows are random walks
+WALK_RECORDING = dict(texture_seed=43, walk_row_frac=0.05, walk_amplitude=100.0)
+ABLATIONS = {"default": (0.05, 0.30), "fractions": (0.02, 0.05, 0.15, 0.30)}
 
 CASES = [
     (rec, mode, frac, reest)
@@ -53,6 +64,14 @@ def render(root: Path) -> dict:
     }
 
 
+def ablation_table(recordings: dict, walk, fractions) -> str:
+    specs = [
+        evaluate.RecordingSpec(ds.video_path, ds.ground_truth_path, ds.landmarks_path)
+        for ds in (*recordings.values(), walk)
+    ]
+    return evaluate.format_table(evaluate.ablation(specs, RunConfig(), fractions=fractions))
+
+
 def predictions(ds, mode: str, frac: str, reest: str, out: Path) -> str:
     code = main(
         [
@@ -70,12 +89,25 @@ def recordings(tmp_path_factory):
     return render(tmp_path_factory.mktemp("golden"))
 
 
+@pytest.fixture(scope="module")
+def walk_recording(tmp_path_factory):
+    return make_recording(
+        tmp_path_factory.mktemp("golden_walk"), duration_s=DURATION_S, **WALK_RECORDING
+    )
+
+
 @pytest.mark.parametrize("case", CASES, ids=[case_name(*c) for c in CASES])
 def test_predictions_match_golden(case, recordings, tmp_path):
     rec, mode, frac, reest = case
     got = predictions(recordings[rec], mode, frac, reest, tmp_path / "out.csv")
     want = (GOLDEN_DIR / f"{case_name(*case)}.csv").read_text(encoding="utf-8")
     assert got == want
+
+
+@pytest.mark.parametrize("name", ABLATIONS)
+def test_ablation_table_matches_golden(name, recordings, walk_recording):
+    got = ablation_table(recordings, walk_recording, ABLATIONS[name])
+    assert got == (GOLDEN_DIR / f"ablation_{name}.csv").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -87,3 +119,8 @@ if __name__ == "__main__":
             rows = predictions(recs[case[0]], *case[1:], Path(tmp) / "out.csv")
             (GOLDEN_DIR / f"{name}.csv").write_text(rows, encoding="utf-8")
             print(f"wrote {name}.csv")
+        walk = make_recording(Path(tmp) / "walk", duration_s=DURATION_S, **WALK_RECORDING)
+        for name, fractions in ABLATIONS.items():
+            table = ablation_table(recs, walk, fractions)
+            (GOLDEN_DIR / f"ablation_{name}.csv").write_text(table, encoding="utf-8")
+            print(f"wrote ablation_{name}.csv")
