@@ -13,6 +13,7 @@ import argparse
 import json
 from pathlib import Path
 
+from rrvision.ingest import GRAY8, PIXEL_FORMATS
 from rrvision.synth import SynthConfig, generate
 
 
@@ -29,7 +30,7 @@ def main():
     ap.add_argument("--duration-s", type=float, default=60.0)
     ap.add_argument("--width", type=int, default=160)
     ap.add_argument("--height", type=int, default=120)
-    ap.add_argument("--pixel-format", choices=["RGB24", "GRAY8"], default="GRAY8")
+    ap.add_argument("--pixel-format", choices=PIXEL_FORMATS, default=GRAY8)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

@@ -7,11 +7,18 @@ top 30% of rows are split in rank order into six equal groups and each group
 is averaged into a candidate respiratory wave. Every wave is smoothed,
 peak-picked and converted to an instantaneous-RR series; the group whose RR
 series is steadiest wins, and its mean is the prediction for the window.
-"""
+
+Peak picking is array code per wave: each local maximum's prominence comes
+from the nearest strictly higher sample on either side and the minimum
+between them, taken over a (candidates x samples) mask, and the survivors
+are thinned tallest first in one pass over a mask of blocked samples. The
+prediction keeps every group's RR series, so a configuration with fewer
+groups of the same size can be decided from the first of them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -36,6 +43,8 @@ class RRPrediction:
     group_index: Optional[int]  # 1-based; 1 = highest-std group
     n_peaks: int
     valid: bool
+    # every group's RR series in rank order; the winner is one of them
+    series: list[RRSeries] = field(default_factory=list, repr=False, compare=False)
 
 
 def detrend(signal: np.ndarray) -> np.ndarray:
@@ -50,6 +59,15 @@ def detrend(signal: np.ndarray) -> np.ndarray:
     return y_c - np.expand_dims(slope, -1) * t_c
 
 
+def group_layout(n_rows: int, cfg: BreathingConfig) -> tuple[int, int]:
+    """(group_size, G): the groups select_and_group forms from n_rows rows that are not flat."""
+    group_size = int(np.floor(n_rows * cfg.group_frac))
+    if group_size < 1:
+        raise ValueError("window has too few rows for the configured group fraction")
+    n_top = int(np.floor(n_rows * cfg.top_frac))
+    return group_size, min(cfg.n_groups(), n_top // group_size)
+
+
 def select_and_group(window: MotionWindow, cfg: BreathingConfig) -> np.ndarray:
     """Detrend rows, rank by std, keep the top fraction, split into groups.
 
@@ -59,14 +77,11 @@ def select_and_group(window: MotionWindow, cfg: BreathingConfig) -> np.ndarray:
     window yields G = 0.
     """
     n_rows, n_cols = window.matrix.shape
-    group_size = int(np.floor(n_rows * cfg.group_frac))
-    if group_size < 1:
-        raise ValueError("window has too few rows for the configured group fraction")
-    n_top = int(np.floor(n_rows * cfg.top_frac))
-
+    group_size, n_groups = group_layout(n_rows, cfg)
     detrended = detrend(window.matrix)
     stds = detrended.std(axis=1)
-    n_groups = 0 if np.all(stds <= FLAT_STD) else min(cfg.n_groups(), n_top // group_size)
+    if np.all(stds <= FLAT_STD):
+        n_groups = 0
     order = np.argsort(-stds, kind="stable")[: n_groups * group_size]
     return detrended[order].reshape(n_groups, group_size, n_cols)
 
@@ -98,25 +113,21 @@ def smooth(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarray:
     return (csum[..., hi] - csum[..., lo]) / (hi - lo)
 
 
-def _prominence(wave: np.ndarray, peak: int) -> float:
-    """Topographic prominence: drop to the higher of the two bracketing minima.
+def _prominence(wave: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Topographic prominence of each peak: drop to the higher of the two bracketing minima.
 
-    On each side, scan until a sample strictly above the peak (or the array
-    border) and take the minimum over the scanned stretch.
+    On each side the stretch runs up to the nearest sample strictly above the
+    peak (or the array border); its minimum includes the peak itself.
     """
-    height = wave[peak]
-    left_min = height
-    i = peak - 1
-    while i >= 0 and wave[i] <= height:
-        left_min = min(left_min, wave[i])
-        i -= 1
-    right_min = height
-    i = peak + 1
-    n = len(wave)
-    while i < n and wave[i] <= height:
-        right_min = min(right_min, wave[i])
-        i += 1
-    return height - max(left_min, right_min)
+    idx = np.arange(len(wave))
+    p = peaks[:, None]
+    height = wave[p]
+    higher = wave > height
+    left = np.where(higher & (idx < p), idx, -1).max(axis=1, keepdims=True)
+    right = np.where(higher & (idx > p), idx, len(wave)).min(axis=1, keepdims=True)
+    left_min = np.where((idx > left) & (idx <= p), wave, np.inf).min(axis=1)
+    right_min = np.where((idx >= p) & (idx < right), wave, np.inf).min(axis=1)
+    return height[:, 0] - np.maximum(left_min, right_min)
 
 
 def detect_peaks(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarray:
@@ -132,26 +143,21 @@ def detect_peaks(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarra
     if n < 3:
         return np.empty(0, dtype=np.int64)
     candidates = np.nonzero((w[1:-1] > w[:-2]) & (w[1:-1] >= w[2:]))[0] + 1
-    if len(candidates) == 0:
-        return np.empty(0, dtype=np.int64)
-
     sd = w.std()
     if sd > 0:
-        threshold = cfg.prominence_factor * sd
-        candidates = np.array(
-            [i for i in candidates if _prominence(w, i) >= threshold], dtype=np.int64
-        )
-    if len(candidates) == 0:
-        return np.empty(0, dtype=np.int64)
+        candidates = candidates[_prominence(w, candidates) >= cfg.prominence_factor * sd]
 
-    min_dist = fs * 60.0 / cfg.rr_max
-    # greedy: tallest first, ties to the lower index
-    by_height = sorted(candidates, key=lambda i: (-w[i], i))
-    kept: list[int] = []
-    for i in by_height:
-        if all(abs(i - j) >= min_dist for j in kept):
-            kept.append(i)
-    return np.array(sorted(kept), dtype=np.int64)
+    # greedy, tallest first with ties to the lower index: a peak is kept unless
+    # a kept one lies within reach, i.e. closer than min_dist = fs*60/rr_max
+    reach = math.ceil(fs * 60.0 / cfg.rr_max) - 1
+    blocked = np.zeros(n, dtype=bool)
+    kept = np.zeros(len(candidates), dtype=bool)
+    for k in np.argsort(-w[candidates], kind="stable"):
+        i = candidates[k]
+        if not blocked[i]:
+            kept[k] = True
+            blocked[max(i - reach, 0) : i + reach + 1] = True
+    return candidates[kept].astype(np.int64)
 
 
 def instantaneous_rr(peak_indices: np.ndarray, fs: float, cfg: BreathingConfig) -> RRSeries:
@@ -183,16 +189,19 @@ def best_group(series_per_group: list[RRSeries], cfg: BreathingConfig) -> Option
     return best_i
 
 
-def predict(series: RRSeries, t: float, group_index: int) -> RRPrediction:
-    """Average the winning group's instantaneous RR into one value."""
-    if len(series.inst_rr) == 0:
-        raise ValueError("cannot predict from an empty RR series")
+def predict(series: list[RRSeries], t: float, cfg: BreathingConfig) -> RRPrediction:
+    """The steadiest eligible group's mean RR; invalid when no group qualifies."""
+    win = best_group(series, cfg)
+    if win is None:
+        return RRPrediction(t=t, rr_bpm=None, group_index=None, n_peaks=0, valid=False,
+                            series=series)
     return RRPrediction(
         t=t,
-        rr_bpm=float(series.inst_rr.mean()),
-        group_index=group_index,
-        n_peaks=int(len(series.peak_indices)),
+        rr_bpm=float(series[win].inst_rr.mean()),
+        group_index=win + 1,
+        n_peaks=int(len(series[win].peak_indices)),
         valid=True,
+        series=series,
     )
 
 
@@ -202,7 +211,4 @@ def analyze_window(window: MotionWindow, cfg: BreathingConfig, t: float | None =
     fs = window.fs
     waves = smooth(group_to_wave(select_and_group(window, cfg)), fs, cfg)
     series = [instantaneous_rr(detect_peaks(wave, fs, cfg), fs, cfg) for wave in waves]
-    win = best_group(series, cfg)
-    if win is None:
-        return RRPrediction(t=t, rr_bpm=None, group_index=None, n_peaks=0, valid=False)
-    return predict(series[win], t, group_index=win + 1)
+    return predict(series, t, cfg)

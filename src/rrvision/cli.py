@@ -59,13 +59,19 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
 
 
 def _build_run_config(args: argparse.Namespace) -> cfgmod.RunConfig:
-    cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
+    # validated once, after the flags: a flag may fix a value of the file
+    cfg = cfgmod.RunConfig.from_dict(_read_json(args.config)) if args.config else cfgmod.RunConfig()
     overrides = _flag_overrides(args)
     if getattr(args, "fixed_roi", None):
         overrides["fixed_roi"] = _parse_roi(args.fixed_roi)
     cfgmod.apply_overrides(cfg, overrides, "flags")
     cfg.validate()
     return cfg
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _parse_roi(text: str) -> list[int]:
@@ -136,8 +142,7 @@ def _fmt(v) -> str:
 def cmd_synth(args: argparse.Namespace) -> int:
     scfg = synth.SynthConfig()
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfgmod.apply_overrides(scfg, json.load(fh), "config")
+        cfgmod.apply_overrides(scfg, _read_json(args.config), "config")
     flags = {k: _parse_segments(v) if isinstance(getattr(scfg, k), list) else v
              for k, v in _flag_overrides(args).items()}
     cfgmod.apply_overrides(scfg, flags, "flags")
@@ -167,7 +172,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             fraction = float(frac)
         except ValueError:
             raise ValueError("--single-cell must be MODE,FRACTION") from None
-        cells = [evaluate.run_cell(recordings, cfg, mode, fraction)]
+        cells = evaluate.run_cell(recordings, cfg, mode, [fraction])
     else:
         cells = evaluate.ablation(recordings, cfg)
     table = evaluate.format_table(cells)

@@ -4,6 +4,14 @@ Metrics are MAE and Success Rate at 2 BPM (share of valid predictions whose
 absolute error is at most 2.0; the bound is inclusive). The ground-truth
 series is step-hold: the reference for a prediction at time t is the value
 at the greatest ground-truth time <= t.
+
+The ablation runs each recording once per (profile mode, group fraction),
+not once per cell. A cell's fraction sets how many groups of the same size
+it forms, and those are the first groups of any larger fraction's window,
+in the same rank order. So one pass at the largest fraction of a mode
+decides every cell at or above the group fraction, each from the first k
+RR series of every window; a fraction below it forms smaller groups and
+gets a pass of its own.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .breathing import RRPrediction
+from .breathing import RRPrediction, group_layout, predict
 from .config import RunConfig, apply_overrides, fixed_roi_from_json
 from .pipeline import run_recording
 
@@ -163,26 +171,48 @@ def _cell_config(base: RunConfig, mode: str, fraction: float) -> RunConfig:
 
 
 def run_cell(
-    recordings: Sequence[RecordingSpec], base_cfg: RunConfig, mode: str, fraction: float
-) -> AblationCell:
-    """Run every recording through one configuration and pool the errors."""
-    cfg = _cell_config(base_cfg, mode, fraction)  # a bad cell is a configuration error
-    errors: list[float] = []
-    invalid = 0
-    winners: list[int] = []
-    try:
-        for rec in recordings:
-            cfg.fixed_roi = rec.fixed_roi
-            preds = run_recording(rec.video_path, cfg, landmarks_path=rec.landmarks_path)
-            gt = load_ground_truth(rec.ground_truth_path)
-            errs, inv = prediction_errors(preds, gt)
-            errors.extend(errs)
-            invalid += inv
-            winners.extend(p.group_index for p in preds if p.valid)
-    except (OSError, ValueError) as exc:
-        return AblationCell(mode, fraction, None, None, error=str(exc))
-    share = group_rank_stats(winners) if winners else None
-    return AblationCell(mode, fraction, metrics_from_errors(errors, invalid), share)
+    recordings: Sequence[RecordingSpec], base_cfg: RunConfig, mode: str, fractions: Sequence[float]
+) -> list[AblationCell]:
+    """The cells of one profile mode, one per fraction, each pooling every recording's errors.
+
+    Cells that share a group fraction share one pass per recording, at the
+    largest of their fractions; a failed pass fails each of its cells.
+    """
+    # a bad cell is a configuration error, raised before any pass
+    cfgs = [_cell_config(base_cfg, mode, f) for f in fractions]
+    passes: dict[float, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        passes.setdefault(cfg.breathing.group_frac, []).append(i)
+    cells: list[Optional[AblationCell]] = [None] * len(fractions)
+    for members in passes.values():
+        pass_cfg = max((cfgs[i] for i in members), key=lambda c: c.breathing.top_frac)
+        preds: dict[int, list[RRPrediction]] = {i: [] for i in members}
+        errors: dict[int, list[float]] = {i: [] for i in members}
+        try:
+            for rec in recordings:
+                pass_cfg.fixed_roi = rec.fixed_roi
+                windows = run_recording(rec.video_path, pass_cfg, landmarks_path=rec.landmarks_path)
+                gt = load_ground_truth(rec.ground_truth_path)
+                for i in members:
+                    cell_preds = [_as_cell(w, cfgs[i]) for w in windows]
+                    preds[i] += cell_preds
+                    errors[i] += prediction_errors(cell_preds, gt)[0]
+        except (OSError, ValueError) as exc:
+            for i in members:
+                cells[i] = AblationCell(mode, fractions[i], None, None, error=str(exc))
+            continue
+        for i in members:
+            winners = [p.group_index for p in preds[i] if p.valid]
+            metrics = metrics_from_errors(errors[i], len(preds[i]) - len(winners))
+            share = group_rank_stats(winners) if winners else None
+            cells[i] = AblationCell(mode, fractions[i], metrics, share)
+    return cells
+
+
+def _as_cell(window: RRPrediction, cfg: RunConfig) -> RRPrediction:
+    """The prediction cfg makes of a window the pass analysed: its first groups decide."""
+    n_groups = group_layout(cfg.canonical_len, cfg.breathing)[1]
+    return predict(window.series[:n_groups], window.t, cfg.breathing)
 
 
 def ablation(
@@ -191,10 +221,10 @@ def ablation(
     modes: Sequence[str] = ("full_roi", "edges"),
     fractions: Sequence[float] = (0.05, 0.30),
 ) -> list[AblationCell]:
-    """Full profile-mode x signal-fraction table (4 cells by default)."""
+    """Full profile-mode x signal-fraction table (4 cells by default), mode by mode."""
     if not recordings:
         raise ValueError("empty dataset manifest")
-    return [run_cell(recordings, base_cfg, m, f) for m in modes for f in fractions]
+    return [c for m in modes for c in run_cell(recordings, base_cfg, m, fractions)]
 
 
 def format_table(cells: Sequence[AblationCell]) -> str:

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from rrvision.breathing import (
     RRSeries,
+    _prominence,
     analyze_window,
     best_group,
     detect_peaks,
     detrend,
+    group_layout,
     group_to_wave,
     instantaneous_rr,
+    predict,
     select_and_group,
     smooth,
 )
@@ -292,6 +295,25 @@ class TestDetectPeaks:
             got = list(detect_peaks(wave, fs, CFG))
             assert got == oracle_detect_peaks(wave, fs, CFG)
 
+    @pytest.mark.parametrize("fs", [7.5, 12.5, 20.0, 29.97, 30.0])
+    def test_matches_oracle_on_window_length_walks(self, fs):
+        # 20-30 s windows, where min_dist (fs*60/45 samples) spans several
+        # candidates and thinning has real work to do
+        rng = np.random.default_rng(int(fs * 100))
+        thinned = 0
+        for _ in range(60):
+            n = int(rng.integers(600, 901))
+            k = int(rng.integers(1, 30))
+            wave = np.convolve(np.cumsum(rng.normal(0, 1, n)), np.ones(k) / k, mode="same")
+            if rng.random() < 0.4:  # plateaus and equal heights
+                wave = np.round(wave * 2) / 2
+            cand = np.array(oracle_local_maxima(wave), dtype=np.int64)
+            assert list(_prominence(wave, cand)) == [oracle_prominence(wave, i) for i in cand]
+            want = oracle_detect_peaks(wave, fs, CFG)
+            assert list(detect_peaks(wave, fs, CFG)) == want
+            thinned += len(cand) > len(want)
+        assert thinned >= 30
+
     @settings(max_examples=40, deadline=None)
     @given(
         rr=st.sampled_from([8.0, 12.0, 15.0, 20.0, 30.0, 40.0]),
@@ -374,6 +396,29 @@ class TestBestGroupAndPredict:
         pred = analyze_window(window_from_rows(np.full((40, 600), 9.0)), CFG, t=20.0)
         assert not pred.valid
         assert pred.rr_bpm is None and pred.group_index is None and pred.n_peaks == 0
+
+
+class TestGroupPrefix:
+    @pytest.mark.parametrize("top_frac", [0.05, 0.10, 0.15, 0.20, 0.25])
+    def test_first_groups_decide_a_smaller_fraction(self, top_frac):
+        # a smaller top fraction with the same group size forms the first
+        # groups of the larger one, so their RR series decide it exactly
+        cfg = BreathingConfig(top_frac=top_frac)
+        rng = np.random.default_rng(int(top_frac * 100))
+        for _ in range(10):
+            n_rows = int(rng.integers(20, 121))
+            rows = rng.normal(0, 1, size=(n_rows, 400)).cumsum(axis=1) + rng.uniform(
+                1, 20, size=(n_rows, 1)
+            ) * np.sin(2 * np.pi * rng.uniform(0.15, 0.5) * np.arange(400) / 20.0)
+            window = window_from_rows(rows, fs=20.0)
+            full = analyze_window(window, CFG, t=20.0)
+            assert len(full.series) == group_layout(n_rows, CFG)[1]
+            k = group_layout(n_rows, cfg)[1]
+            assert predict(full.series[:k], 20.0, cfg) == analyze_window(window, cfg, t=20.0)
+
+    def test_flat_window_has_no_series(self):
+        pred = analyze_window(window_from_rows(np.full((40, 600), 9.0)), CFG, t=20.0)
+        assert pred.series == []
 
 
 class TestPipelineProperties:

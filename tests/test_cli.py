@@ -150,6 +150,23 @@ class TestDumpConfigRoundTrip:
         assert code == 0
         assert json.loads(dumped)["breathing"]["smooth_s"] == 0.2
 
+    def test_flag_fixes_bad_config_value(self, capsys, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"schedule": {"window_s": 1.0}}))
+        code, dumped, err = run_cli(capsys, "run", "whatever.gray8", "--config", cfg_file,
+                                    "--window-s", "20", "--dump-config")
+        assert code == 0, err
+        assert json.loads(dumped)["schedule"]["window_s"] == 20.0
+
+    def test_bad_config_value_no_flag_overrides_exits_1(self, capsys, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"schedule": {"window_s": 1.0}}))
+        code, out, err = run_cli(capsys, "run", "whatever.gray8", "--config", cfg_file,
+                                 "--reest-s", "5", "--dump-config")
+        assert code == 1
+        assert out == ""
+        assert "error: window_s must be at least 2*step_s" in err
+
     def test_bad_config_key_exits_1(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"no_such_section": {}}))

@@ -11,6 +11,7 @@ from rrvision.evaluate import (
     load_dataset_manifest,
     load_ground_truth,
     metrics_from_errors,
+    prediction_errors,
     RecordingSpec,
     reference_at,
     run_cell,
@@ -208,7 +209,7 @@ class TestManifestAndAblation:
     def test_ablation_cell_equals_pipeline_exactly(self, corpus):
         root, manifest, recs = corpus
         specs = load_dataset_manifest(manifest)
-        cell = run_cell(specs, RunConfig(), "edges", 0.30)
+        [cell] = run_cell(specs, RunConfig(), "edges", [0.30])
         errors = []
         for spec in specs:
             preds = run_recording(spec.video_path, RunConfig(), landmarks_path=spec.landmarks_path)
@@ -216,6 +217,30 @@ class TestManifestAndAblation:
             errors += [abs(p.rr_bpm - reference_at(gt, p.t)) for p in preds if p.valid]
         want = metrics_from_errors(errors, 0)
         assert cell.metrics == want
+
+    @pytest.mark.parametrize("mode", ["full_roi", "edges"])
+    def test_shared_pass_cells_equal_independent_runs(self, corpus, mode):
+        # 0.02 is below the group fraction and gets its own pass; 0.05 and
+        # 0.15 are decided from the first groups of the 0.30 pass
+        _, manifest, _ = corpus
+        specs = load_dataset_manifest(manifest)
+        fractions = (0.02, 0.05, 0.15, 0.30)
+        cells = run_cell(specs, RunConfig(), mode, fractions)
+        assert [c.fraction for c in cells] == list(fractions)
+        for cell, fraction in zip(cells, fractions):
+            cfg = RunConfig.from_dict({
+                "profile_mode": mode,
+                "breathing": {"top_frac": fraction, "group_frac": min(0.05, fraction)},
+            })
+            preds, errors = [], []
+            for spec in specs:
+                run = run_recording(spec.video_path, cfg, landmarks_path=spec.landmarks_path)
+                preds += run
+                errors += prediction_errors(run, load_ground_truth(spec.ground_truth_path))[0]
+            winners = [p.group_index for p in preds if p.valid]
+            assert cell.error is None
+            assert cell.metrics == metrics_from_errors(errors, len(preds) - len(winners))
+            assert cell.best_group_ge2_share == (group_rank_stats(winners) if winners else None)
 
     def test_unreadable_recording_fails_cell_but_run_continues(self, corpus, tmp_path):
         root, _, recs = corpus
