@@ -16,7 +16,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rrvision.config import CannyConfig
-from rrvision.edges import canny, dilate, gaussian_blur, hysteresis, non_maximum_suppression
+from rrvision.edges import (
+    canny,
+    dilate,
+    gaussian_blur,
+    gaussian_kernel,
+    hysteresis,
+    non_maximum_suppression,
+    quantize_orientation,
+    sobel_gradients,
+)
 
 # --- brute-force oracle ------------------------------------------------------
 
@@ -29,11 +38,16 @@ def _mirror(i, n):
     return i
 
 
-def oracle_blur(img, sigma):
+def oracle_kernel(sigma):
     r = math.ceil(3 * sigma)
     k = [math.exp(-(j * j) / (2 * sigma * sigma)) for j in range(-r, r + 1)]
     s = sum(k)
-    k = [v / s for v in k]
+    return [v / s for v in k]
+
+
+def oracle_blur(img, sigma):
+    r = math.ceil(3 * sigma)
+    k = oracle_kernel(sigma)
     h, w = img.shape
     tmp = np.zeros((h, w))
     for y in range(h):
@@ -74,7 +88,12 @@ def oracle_sobel(img):
 
 
 def oracle_bin(gx, gy):
-    a = math.degrees(math.atan2(gy, gx)) % 180.0
+    return oracle_bin_of_angle(math.degrees(math.atan2(gy, gx)))
+
+
+def oracle_bin_of_angle(degrees):
+    """Fold a gradient angle in degrees to [0, 180), then bin it; boundaries go to the lower bin."""
+    a = degrees % 180.0
     if a <= 22.5 or a > 157.5:
         return 0
     if a <= 67.5:
@@ -155,6 +174,83 @@ def vstep(h, w, col, contrast=255.0):
 
 
 # --- tests -------------------------------------------------------------------
+
+
+def _ulps(v, k):
+    """v moved k ulps, toward +inf for k > 0."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+def adversarial_gradients():
+    """(gx, gy) on and next to every point where the quantizer decides a bin."""
+    pairs = []
+    for zero in (0.0, -0.0):  # a signed zero in either component, angles of 0, +-90 and +-180
+        for v in (0.0, -0.0, 1.0, -1.0, 42.0, -42.0):
+            pairs += [(zero, v), (v, zero)]
+    for m in (1.0, 7.0, 255.0):  # exact diagonals: |gx| == |gy|
+        pairs += [(m, m), (m, -m), (-m, m), (-m, -m)]
+    for deg in (22.5, 67.5, 112.5, 157.5):  # ratios one ulp either side of each boundary
+        t = math.radians(deg)
+        for m in (1.0, 3.0, -1.0, -255.0):
+            gx, gy = m * math.cos(t), m * math.sin(t)
+            for k in range(-3, 4):
+                pairs += [(gx, _ulps(gy, k)), (_ulps(gx, k), gy)]
+    return np.array(pairs).T
+
+
+class TestStagesAgainstOracle:
+    @pytest.mark.parametrize("sigma", [1.0, 1.4])
+    def test_blur_matches_oracle(self, sigma):
+        # numpy's exp need not round like math.exp; at these sigmas the taps agree
+        assert np.array_equal(gaussian_kernel(sigma), oracle_kernel(sigma))
+        rng = np.random.default_rng(int(sigma * 10))
+        for img in (
+            rng.integers(0, 256, size=(19, 23)).astype(np.float64),
+            rng.normal(0.0, 80.0, size=(21, 17)),
+        ):
+            assert np.array_equal(gaussian_blur(img, sigma), oracle_blur(img, sigma))
+
+    def test_sobel_matches_oracle(self):
+        rng = np.random.default_rng(3)
+        for img in (
+            rng.integers(0, 256, size=(9, 12), dtype=np.uint8),
+            rng.uniform(0.0, 255.0, size=(12, 9)),
+            rng.normal(0.0, 50.0, size=(11, 8)),
+        ):
+            got, want = sobel_gradients(img), oracle_sobel(img)
+            assert all(np.array_equal(g, o) for g, o in zip(got, want))
+
+    def test_quantizer_matches_oracle_on_adversarial_gradients(self):
+        gx, gy = adversarial_gradients()
+        bins = quantize_orientation(gx, gy)
+        # The rule under test is the fold and the binning of numpy's angle: on a
+        # SIMD build numpy's arctan2 may differ from libm's atan2 in the last ulp.
+        angles = np.degrees(np.arctan2(gy, gx))
+        assert bins.tolist() == [oracle_bin_of_angle(a) for a in angles.tolist()]
+        folded = set((angles % 180.0).tolist())
+        assert {0.0, 45.0, 90.0, 135.0, 22.5, 67.5, 112.5, 157.5} <= folded
+        assert {180.0, -180.0} <= set(angles.tolist())
+        libm = [math.degrees(math.atan2(y, x)) for x, y in zip(gx.tolist(), gy.tolist())]
+        agree = [i for i, a in enumerate(angles.tolist()) if a == libm[i]]
+        assert len(agree) > 0.8 * len(libm)
+        assert all(bins[i] == oracle_bin(gx[i], gy[i]) for i in agree)
+
+    def test_nms_matches_oracle_with_two_pixel_plateaus(self):
+        rng = np.random.default_rng(5)
+        h, w = 12, 14
+        for _ in range(10):
+            gx = rng.integers(-2, 3, size=(h, w)).astype(np.float64)
+            gy = rng.integers(-2, 3, size=(h, w)).astype(np.float64)
+            mag = rng.integers(0, 4, size=(h, w)).astype(np.float64)  # few levels: many ties
+            for _ in range(8):  # a plateau of two pixels along the first pixel's gradient
+                y, x = int(rng.integers(1, h - 1)), int(rng.integers(1, w - 1))
+                dy, dx = _ORACLE_NEIGHBORS[oracle_bin(gx[y, x], gy[y, x])][int(rng.integers(2))]
+                mag[y, x] = mag[y + dy, x + dx] = 9.0
+            got = non_maximum_suppression(mag, quantize_orientation(gx, gy))
+            assert np.array_equal(got, oracle_nms(mag, gx, gy))
+
 
 
 class TestCannyAgainstOracle:

@@ -11,20 +11,31 @@ cells, and over fractions that fall below the group fraction (0.02) and
 between the defaults (0.15). The tables are the only output that shows
 ``best_group_ge2_share``.
 
+Canny itself is pinned at deployment size: the landmark ROI (320x240) of a
+seeded 640x480 RGB24 scene, at a few frames and three blur sigmas, as the
+sha256 of each packed edge mask. The recordings above only ever run Canny on
+80x60 ROIs.
+
 To rewrite the files after an intended output change, run
 ``PYTHONPATH=src python3 tests/test_golden.py`` and say why in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import hashlib
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rrvision import evaluate
 from rrvision.cli import main
-from rrvision.config import RunConfig
+from rrvision.config import CannyConfig, RoiGeometryConfig, RunConfig
+from rrvision.edges import canny
+from rrvision.ingest import to_grayscale
+from rrvision.roi import roi_from_landmarks
+from rrvision.synth import SynthConfig, _Scene
 
 from conftest import make_recording
 
@@ -43,6 +54,12 @@ DURATION_S = 24.0
 # the ablation corpus adds one recording whose loudest rows are random walks
 WALK_RECORDING = dict(texture_seed=43, walk_row_frac=0.05, walk_amplitude=100.0)
 ABLATIONS = {"default": (0.05, 0.30), "fractions": (0.02, 0.05, 0.15, 0.30)}
+VGA_SCENE = dict(
+    width=640, height=480, fps=30.0, duration_s=4.0, rr_segments=[(0.0, 15.0)],
+    noise_sigma=2.0, pixel_format="RGB24", texture_seed=7,
+)
+VGA_FRAMES = (0, 30, 60)  # a quarter and a half breath apart
+VGA_SIGMAS = (1.0, 1.4, 2.0)
 
 CASES = [
     (rec, mode, frac, reest)
@@ -70,6 +87,20 @@ def ablation_table(recordings: dict, walk, fractions) -> str:
         for ds in (*recordings.values(), walk)
     ]
     return evaluate.format_table(evaluate.ablation(specs, RunConfig(), fractions=fractions))
+
+
+def vga_edge_masks() -> str:
+    """One CSV row per (frame, sigma): the edge count and the sha256 of the packed mask."""
+    scene = _Scene(SynthConfig(**VGA_SCENE))
+    roi = roi_from_landmarks(scene.geom.landmarks, scene.cfg.meta, RoiGeometryConfig())
+    rows = ["frame,sigma,edge_pixels,packbits_sha256"]
+    for i in VGA_FRAMES:
+        gray = to_grayscale(roi.crop(scene.render_quantized(i)))
+        for sigma in VGA_SIGMAS:
+            mask = canny(gray, CannyConfig(sigma=sigma))
+            digest = hashlib.sha256(np.packbits(mask).tobytes()).hexdigest()
+            rows.append(f"{i},{sigma},{int(mask.sum())},{digest}")
+    return "\n".join(rows) + "\n"
 
 
 def predictions(ds, mode: str, frac: str, reest: str, out: Path) -> str:
@@ -110,8 +141,14 @@ def test_ablation_table_matches_golden(name, recordings, walk_recording):
     assert got == (GOLDEN_DIR / f"ablation_{name}.csv").read_text(encoding="utf-8")
 
 
+def test_vga_edge_masks_match_golden():
+    assert vga_edge_masks() == (GOLDEN_DIR / "canny_vga_masks.csv").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
+    (GOLDEN_DIR / "canny_vga_masks.csv").write_text(vga_edge_masks(), encoding="utf-8")
+    print("wrote canny_vga_masks.csv")
     with tempfile.TemporaryDirectory() as tmp:
         recs = render(Path(tmp))
         for case in CASES:
