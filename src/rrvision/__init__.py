@@ -12,7 +12,6 @@ from .config import (
     RoiGeometryConfig,
     RunConfig,
     ScheduleConfig,
-    load_config,
 )
 from .evaluate import EvalMetrics, ablation, score
 from .pipeline import run_recording, run_stream
@@ -32,7 +31,6 @@ __all__ = [
     "ablation",
     "analyze_window",
     "generate",
-    "load_config",
     "run_recording",
     "run_stream",
     "score",

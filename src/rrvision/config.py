@@ -174,14 +174,6 @@ def fixed_roi_from_json(value, where: str) -> Optional[tuple[int, int, int, int]
     return tuple(value)
 
 
-def load_config(path) -> RunConfig:
-    """Load a RunConfig from a JSON file (missing keys keep defaults)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = RunConfig.from_dict(json.load(fh))
-    cfg.validate()
-    return cfg
-
-
 def dump_config(cfg: RunConfig) -> str:
     """Serialize a config so that loading it back reproduces the run exactly."""
     return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"

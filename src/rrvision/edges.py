@@ -6,8 +6,12 @@ double-threshold hysteresis with 8-connectivity. Everything is deterministic:
 
 * blur kernel radius is ceil(3*sigma), normalized to sum 1 over its finite
   support; blur and Sobel both pad by mirroring about the border pixel;
+* a blur pass starts from tap 0's product and adds the later taps' in
+  ascending order, and Sobel differs from its tap sums only in the sign of
+  a zero, so every pixel rounds exactly as its per-pixel definition;
 * orientation bins are {0, 45, 90, 135} degrees with boundary angles
-  assigned to the lower bin;
+  assigned to the lower bin; negative angles fold to [0, 180) by adding
+  180, which is exactly what ``% 180.0`` returns for them;
 * NMS compares against the two 8-neighbors along the quantized gradient
   direction, strictly against the up/left neighbor and non-strictly against
   the down/right one, so a two-pixel magnitude plateau keeps exactly its
@@ -35,24 +39,22 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _correlate1d(img: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
-    """1D correlation along axis with mirror padding (border pixel not repeated)."""
-    radius = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (radius, radius)
-    padded = np.pad(img, pad, mode="reflect")
-    out = np.zeros_like(img, dtype=np.float64)
-    n = img.shape[axis]
-    for j, kj in enumerate(kernel):
-        sl = [slice(None), slice(None)]
-        sl[axis] = slice(j, j + n)
-        out += kj * padded[tuple(sl)]
+def _correlate1d(padded: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Correlation along axis wherever every tap falls inside padded; one scratch array."""
+    n = padded.shape[axis] - len(kernel) + 1
+    taps = [padded[j : j + n] if axis == 0 else padded[:, j : j + n] for j in range(len(kernel))]
+    out = kernel[0] * taps[0]
+    scratch = np.empty_like(out)
+    for kj, tap in zip(kernel[1:], taps[1:]):
+        out += np.multiply(kj, tap, out=scratch)
     return out
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     k = gaussian_kernel(sigma)
-    return _correlate1d(_correlate1d(img, k, axis=0), k, axis=1)
+    # mirror padding commutes with the column pass, so one pad serves both passes
+    cols = _correlate1d(np.pad(img, len(k) // 2, mode="reflect"), k, axis=0)
+    return _correlate1d(cols, k, axis=1)
 
 
 def sobel_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -60,22 +62,31 @@ def sobel_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Evaluated separably ([1,2,1] smoothing then [-1,0,1] difference); kept
     that way on purpose: mirror-symmetric inputs then give exactly tied
-    magnitudes, which the NMS tie rule resolves deterministically.
+    magnitudes, which the NMS tie rule resolves deterministically. On shifted
+    views a, b, c of one padded copy, [1,2,1] is (a + 2b) + c and [-1,0,1] is
+    c - a: the tap sums up to the sign of a zero, which hypot and bins ignore.
     """
-    smooth = np.array([1.0, 2.0, 1.0])
-    diff = np.array([-1.0, 0.0, 1.0])
-    gx = _correlate1d(_correlate1d(img, smooth, axis=0), diff, axis=1)
-    gy = _correlate1d(_correlate1d(img, diff, axis=0), smooth, axis=1)
+    p = np.pad(np.asarray(img, dtype=np.float64), 1, mode="reflect")
+    above, below = p[:-2], p[2:]
+    rows = 2.0 * p[1:-1]  # [1,2,1] down every column, the pad columns included
+    rows += above
+    rows += below
+    gx = rows[:, 2:] - rows[:, :-2]
+    rows = np.subtract(below, above, out=rows)  # [-1,0,1] down every column
+    gy = 2.0 * rows[:, 1:-1]
+    gy += rows[:, :-2]
+    gy += rows[:, 2:]
     return gx, gy
 
 
 def quantize_orientation(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """Gradient angle folded to [0, 180) and binned to 0/45/90/135 degrees."""
-    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
-    bins = np.zeros(ang.shape, dtype=np.uint8)  # bin value = angle / 45
-    bins[(ang > 22.5) & (ang <= 67.5)] = 1
-    bins[(ang > 67.5) & (ang <= 112.5)] = 2
-    bins[(ang > 112.5) & (ang <= 157.5)] = 3
+    ang = np.degrees(np.arctan2(gy, gx))
+    np.add(ang, 180.0, out=ang, where=ang < 0)
+    bins = (ang > 22.5).view(np.uint8)  # angle / 45: boundaries below it, & 3 (180 -> 0)
+    for bound in (67.5, 112.5, 157.5):
+        bins += ang > bound
+    bins &= 3
     return bins
 
 
@@ -98,8 +109,8 @@ def non_maximum_suppression(mag: np.ndarray, bins: np.ndarray) -> np.ndarray:
 
     keep = np.zeros(mag.shape, dtype=bool)
     for b, (first, second) in _NMS_NEIGHBORS.items():
-        sel = (bins == b) & (mag > 0)
-        keep |= sel & (mag > neighbor(*first)) & (mag >= neighbor(*second))
+        keep |= (bins == b) & (mag > neighbor(*first)) & (mag >= neighbor(*second))
+    keep &= mag > 0
     return np.where(keep, mag, 0.0)
 
 
@@ -127,8 +138,7 @@ def canny(gray_roi: np.ndarray, cfg: CannyConfig | None = None) -> np.ndarray:
     if min(h, w) < 2 * radius + 1:
         raise ValueError(f"ROI {w}x{h} is smaller than the kernel support {2 * radius + 1}")
 
-    blurred = gaussian_blur(np.asarray(gray_roi, dtype=np.float64), cfg.sigma)
-    gx, gy = sobel_gradients(blurred)
+    gx, gy = sobel_gradients(gaussian_blur(np.asarray(gray_roi, dtype=np.float64), cfg.sigma))
     mag = np.hypot(gx, gy)
     nms = non_maximum_suppression(mag, quantize_orientation(gx, gy))
 

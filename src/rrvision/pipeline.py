@@ -6,10 +6,11 @@ MotionBuffer owns the frame schedule; when it says the next column starts an
 epoch, the ROI is re-estimated first, and the crop's mask and row plan are
 built: the dilated Canny edges in edges mode, every pixel in full_roi mode.
 Whenever the window emits a snapshot the breathing analysis runs on it and a
-prediction is yielded. Wall time is recorded per stage so the CLI can report
-and tests can assert the real-time contract: every whole frame, epoch starts
-included, must fit within a frame period, and one window analysis within a
-step.
+prediction is yielded. When the caller passes a StageTimings, wall time is
+recorded per stage so the CLI can report and tests can assert the real-time
+contract: every whole frame, epoch starts included, must fit within a frame
+period, and one window analysis within a step. Without one, the loop reads
+no clock.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def run_stream(
     buffer = MotionBuffer(cfg.canonical_len, meta.fps, cfg.schedule)
 
     for frame in frames:
-        t_start = time.perf_counter()
+        if timings is not None:
+            t_start = time.perf_counter()
         epoch_start = buffer.epoch_start
         if epoch_start:
             if cfg.fixed_roi is not None:
@@ -95,22 +97,18 @@ def run_stream(
                 mask = np.ones(gray_roi.shape, dtype=bool)
             plan = plan_rows(mask, cfg.canonical_len)
 
-        t_profile = time.perf_counter()
-        event = buffer.push_profile(extract_profile(gray_roi, plan))
-        t_push = time.perf_counter()
-
-        prediction = None
-        if event is not None:
-            prediction = analyze_window(event, cfg.breathing)
-            t_analysis = time.perf_counter()
-            if timings is not None:
-                timings.analysis.append(t_analysis - t_push)
-
         if timings is not None:
+            t_profile = time.perf_counter()
+        event = buffer.push_profile(extract_profile(gray_roi, plan))
+        if timings is not None:
+            t_push = time.perf_counter()
             timings.profile_push.append(t_push - t_profile)
             timings.frame_total.append(t_push - t_start)
 
-        if prediction is not None:
+        if event is not None:
+            prediction = analyze_window(event, cfg.breathing)
+            if timings is not None:
+                timings.analysis.append(time.perf_counter() - t_push)
             yield prediction
 
 

@@ -92,7 +92,7 @@ def oracle_bin(gx, gy):
 
 
 def oracle_bin_of_angle(degrees):
-    """Fold a gradient angle in degrees to [0, 180), then bin it; boundaries go to the lower bin."""
+    """Fold an angle in degrees to [0, 180), then bin it; boundaries go to the lower bin."""
     a = degrees % 180.0
     if a <= 22.5 or a > 157.5:
         return 0

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,25 @@ class TestRunStream:
         s = timings.summary()
         assert s["frame_profile_push"]["p99_ms"] > 0
         assert s["window_analysis"]["p50_ms"] > 0
+
+    def test_clock_is_read_only_when_timing(self, tmp_path, monkeypatch):
+        ds = make_recording(tmp_path / "clip", duration_s=1.0)
+        calls = []
+
+        class CountingClock:
+            @staticmethod
+            def perf_counter():
+                calls.append(None)
+                return time.perf_counter()
+
+        monkeypatch.setattr(pipeline, "time", CountingClock)
+        assert run_recording(ds.video_path, RunConfig(), landmarks_path=ds.landmarks_path) == []
+        assert len(calls) == 0
+        timings = StageTimings()
+        list(run_stream(ds.video_path, RunConfig(), landmarks_path=ds.landmarks_path,
+                        timings=timings))
+        assert len(timings.frame_total) == len(timings.profile_push) == 30
+        assert len(calls) == 3 * 30
 
     def test_landmarks_starting_late_fail_at_warmup(self, tmp_path):
         ds = make_recording(tmp_path / "late", duration_s=2.0)
