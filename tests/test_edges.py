@@ -191,7 +191,7 @@ def adversarial_gradients():
             pairs += [(zero, v), (v, zero)]
     for m in (1.0, 7.0, 255.0):  # exact diagonals: |gx| == |gy|
         pairs += [(m, m), (m, -m), (-m, m), (-m, -m)]
-    for deg in (22.5, 67.5, 112.5, 157.5):  # ratios one ulp either side of each boundary
+    for deg in (22.5, 67.5, 112.5, 157.5):  # ratios up to 3 ulps either side of each boundary
         t = math.radians(deg)
         for m in (1.0, 3.0, -1.0, -255.0):
             gx, gy = m * math.cos(t), m * math.sin(t)
@@ -243,14 +243,14 @@ class TestStagesAgainstOracle:
         for _ in range(10):
             gx = rng.integers(-2, 3, size=(h, w)).astype(np.float64)
             gy = rng.integers(-2, 3, size=(h, w)).astype(np.float64)
-            mag = rng.integers(0, 4, size=(h, w)).astype(np.float64)  # few levels: many ties
+            # few levels, so many ties; only a level below 0 shows the mag > 0 rule, on the border
+            mag = rng.integers(-1, 4, size=(h, w)).astype(np.float64)
             for _ in range(8):  # a plateau of two pixels along the first pixel's gradient
                 y, x = int(rng.integers(1, h - 1)), int(rng.integers(1, w - 1))
                 dy, dx = _ORACLE_NEIGHBORS[oracle_bin(gx[y, x], gy[y, x])][int(rng.integers(2))]
                 mag[y, x] = mag[y + dy, x + dx] = 9.0
             got = non_maximum_suppression(mag, quantize_orientation(gx, gy))
             assert np.array_equal(got, oracle_nms(mag, gx, gy))
-
 
 
 class TestCannyAgainstOracle:
