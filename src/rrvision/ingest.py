@@ -232,10 +232,15 @@ def _open_raw(filepath: Path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
 def to_grayscale(pixels: np.ndarray) -> np.ndarray:
     """Average the RGB channels into one real-valued plane; GRAY8 only becomes float.
 
-    Equal channel weights. The three-channel sum is exact in float64, so
-    this equals the float mean of the channels bit for bit. No rounding
+    Equal channel weights. RGB samples must be uint8, as the readers give
+    them: their sum, at most 765, is exact in uint16, and one division by
+    3.0 then equals the float mean of the channels bit for bit. No rounding
     happens here so downstream row averages see full precision.
     """
     if pixels.ndim == 3:
-        return (pixels[..., 0].astype(np.float64) + pixels[..., 1] + pixels[..., 2]) / 3.0
+        if pixels.dtype != np.uint8:
+            raise ValueError(f"RGB samples must be uint8, not {pixels.dtype}")
+        total = np.add(pixels[..., 0], pixels[..., 1], dtype=np.uint16)
+        total += pixels[..., 2]
+        return total / 3.0
     return pixels.astype(np.float64)

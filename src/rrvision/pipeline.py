@@ -8,9 +8,10 @@ built: the dilated Canny edges in edges mode, every pixel in full_roi mode.
 Whenever the window emits a snapshot the breathing analysis runs on it and a
 prediction is yielded. When the caller passes a StageTimings, wall time is
 recorded per stage so the CLI can report and tests can assert the real-time
-contract: every whole frame, epoch starts included, must fit within a frame
-period, and one window analysis within a step. Without one, the loop reads
-no clock.
+contract: every whole frame, from its read to its push and epoch starts
+included, must fit within a frame period, and one window analysis within a
+step. Time the consumer spends between predictions counts in neither. Without
+one, the loop reads no clock.
 """
 
 from __future__ import annotations
@@ -80,15 +81,19 @@ def run_stream(
 
     buffer = MotionBuffer(cfg.canonical_len, meta.fps, cfg.schedule)
 
-    for frame in frames:
+    while True:
         if timings is not None:
-            t_start = time.perf_counter()
+            t_start = time.perf_counter()  # before the read, after the consumer
+        frame = next(frames, None)
+        if frame is None:
+            return
         epoch_start = buffer.epoch_start
         if epoch_start:
             if cfg.fixed_roi is not None:
                 roi_rect = RoiRect(*cfg.fixed_roi).clamped(meta)
             else:
                 roi_rect = roi_from_landmarks(track.lookup(frame.index), meta, cfg.geometry)
+        # Canny reads the gray crop first; the profile then overwrites it
         gray_roi = to_grayscale(roi_rect.crop(frame.data))
         if epoch_start:
             if cfg.profile_mode == "edges":

@@ -53,11 +53,13 @@ def plan_rows(mask: np.ndarray, canonical_len: int) -> RowPlan:
 def extract_profile(gray_roi: np.ndarray, plan: RowPlan) -> np.ndarray:
     """One frame's masked row means, filled and resampled to the canonical length.
 
-    Multiplying by the 0/1 weights keeps or zeroes each pixel exactly.
+    Overwrites `gray_roi`, a float64 array the caller owns: multiplying it
+    in place by the 0/1 weights keeps or zeroes each pixel exactly, and the
+    row sums then add the same values in the same order as on a copy.
     Interpolating at a sample position returns that sample exactly, so the
     fill leaves valid rows untouched and resampling to the ROI height is the
     identity.
     """
-    sums = (gray_roi * plan.weights).sum(axis=1)
+    sums = np.multiply(gray_roi, plan.weights, out=gray_roi).sum(axis=1)
     raw = np.interp(plan.rows, plan.valid_rows, sums[plan.valid_rows] / plan.counts)
     return np.interp(plan.positions, plan.rows, raw)

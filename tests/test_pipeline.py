@@ -56,8 +56,12 @@ class TestRunStream:
     def test_timing_collects_per_frame_and_per_window(self, tmp_path):
         ds = make_recording(tmp_path / "t", duration_s=21.0)
         timings = StageTimings()
-        preds = list(run_stream(ds.video_path, RunConfig(),
-                                landmarks_path=ds.landmarks_path, timings=timings))
+        preds = []
+        for p in run_stream(ds.video_path, RunConfig(), landmarks_path=ds.landmarks_path,
+                            timings=timings):
+            preds.append(p)
+            time.sleep(0.1)  # the consumer's time is no frame's time
+        assert max(timings.frame_total) < 0.1
         assert len(timings.profile_push) == 630
         assert len(timings.analysis) == len(preds) == 2
         s = timings.summary()
@@ -81,7 +85,29 @@ class TestRunStream:
         list(run_stream(ds.video_path, RunConfig(), landmarks_path=ds.landmarks_path,
                         timings=timings))
         assert len(timings.frame_total) == len(timings.profile_push) == 30
-        assert len(calls) == 3 * 30
+        # three per frame, and one more before the request that ends the stream
+        assert len(calls) == 3 * 30 + 1
+
+    def test_frame_total_includes_the_read(self, tmp_path, monkeypatch):
+        ds = make_recording(tmp_path / "clip", duration_s=1.0)
+        open_source = pipeline.open_source
+
+        def slow_open_source(path):
+            meta, frames = open_source(path)
+
+            def slow_frames():
+                for frame in frames:
+                    time.sleep(0.002)
+                    yield frame
+
+            return meta, slow_frames()
+
+        monkeypatch.setattr(pipeline, "open_source", slow_open_source)
+        timings = StageTimings()
+        list(run_stream(ds.video_path, RunConfig(), landmarks_path=ds.landmarks_path,
+                        timings=timings))
+        assert len(timings.frame_total) == 30
+        assert min(timings.frame_total) >= 0.002
 
     def test_landmarks_starting_late_fail_at_warmup(self, tmp_path):
         ds = make_recording(tmp_path / "late", duration_s=2.0)

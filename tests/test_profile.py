@@ -10,12 +10,12 @@ from rrvision.profile import extract_profile, plan_rows
 def row_means(roi, mask=None):
     """Raw per-row profile: resampling to the ROI height is the identity."""
     mask = np.ones(roi.shape, dtype=bool) if mask is None else mask
-    return extract_profile(roi, plan_rows(mask, roi.shape[0]))
+    return extract_profile(roi.copy(), plan_rows(mask, roi.shape[0]))  # it overwrites roi
 
 
 def resample(raw, length):
     """A raw profile resampled: one-pixel rows have their value as mean."""
-    raw = np.asarray(raw, dtype=np.float64)
+    raw = np.array(raw, dtype=np.float64)  # a copy: extract_profile overwrites it
     return extract_profile(raw[:, None], plan_rows(np.ones((len(raw), 1), bool), length))
 
 
@@ -90,9 +90,21 @@ class TestEdgesProfile:
         plan = plan_rows(mask, 7)
         for _ in range(3):
             roi = rng.uniform(0, 255, size=(7, 5))
-            p = extract_profile(roi, plan)
+            p = extract_profile(roi.copy(), plan)
             assert p.dtype == np.float64 and p.shape == (7,)
             assert np.array_equal(p, row_means(roi, mask))
+
+    def test_overwrites_input_with_its_masked_pixels(self):
+        rng = np.random.default_rng(5)
+        roi = rng.uniform(1, 255, size=(6, 8))  # no zeros of its own
+        full = roi.copy()
+        extract_profile(full, plan_rows(np.ones(roi.shape, dtype=bool), 10))
+        assert np.array_equal(full, roi)
+        mask = rng.random(roi.shape) < 0.4
+        mask[0, 0] = True
+        edges = roi.copy()
+        extract_profile(edges, plan_rows(mask, 10))
+        assert np.array_equal(edges, np.where(mask, roi, 0.0))
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="no edge pixels"):
