@@ -116,9 +116,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             out.close()
 
     summary = timings.summary()
-    pp, an = summary["frame_profile_push"], summary["window_analysis"]
+    fr, an = summary["frame_total"], summary["window_analysis"]
     print(
-        f"# frames={pp['n']} profile_push_ms p50={_fmt(pp['p50_ms'])} p99={_fmt(pp['p99_ms'])}"
+        f"# frames={fr['n']} frame_ms p50={_fmt(fr['p50_ms'])} p99={_fmt(fr['p99_ms'])}"
+        f" max={_fmt(fr['max_ms'])}"
         f" | windows={an['n']} analysis_ms p50={_fmt(an['p50_ms'])} p99={_fmt(an['p99_ms'])}",
         file=sys.stderr,
     )

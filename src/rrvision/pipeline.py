@@ -7,11 +7,11 @@ epoch, the ROI is re-estimated first, and the crop's mask and row plan are
 built: the dilated Canny edges in edges mode, every pixel in full_roi mode.
 Whenever the window emits a snapshot the breathing analysis runs on it and a
 prediction is yielded. When the caller passes a StageTimings, wall time is
-recorded per stage so the CLI can report and tests can assert the real-time
-contract: every whole frame, from its read to its push and epoch starts
-included, must fit within a frame period, and one window analysis within a
-step. Time the consumer spends between predictions counts in neither. Without
-one, the loop reads no clock.
+recorded per frame and per window so the CLI can report and tests can assert
+the real-time contract: every whole frame, from its read to its push and epoch
+starts included, must fit within a frame period, and one window analysis
+within a step. Time the consumer spends between predictions counts in neither.
+Without one, the loop reads no clock.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .window import MotionBuffer
 
 @dataclass
 class StageTimings:
-    """Per-stage wall times in seconds, one entry per frame/window."""
+    """Wall times in seconds: one entry per whole frame, one per window analysis."""
 
-    profile_push: list[float] = field(default_factory=list)
     analysis: list[float] = field(default_factory=list)
     frame_total: list[float] = field(default_factory=list)
 
@@ -53,7 +52,6 @@ class StageTimings:
 
     def summary(self) -> dict:
         return {
-            "frame_profile_push": self._stats(self.profile_push),
             "window_analysis": self._stats(self.analysis),
             "frame_total": self._stats(self.frame_total),
         }
@@ -102,12 +100,9 @@ def run_stream(
                 mask = np.ones(gray_roi.shape, dtype=bool)
             plan = plan_rows(mask, cfg.canonical_len)
 
-        if timings is not None:
-            t_profile = time.perf_counter()
         event = buffer.push_profile(extract_profile(gray_roi, plan))
         if timings is not None:
             t_push = time.perf_counter()
-            timings.profile_push.append(t_push - t_profile)
             timings.frame_total.append(t_push - t_start)
 
         if event is not None:

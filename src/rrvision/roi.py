@@ -103,9 +103,6 @@ class LandmarkTrack:
             raise ValueError(f"no landmarks yet at frame {frame_index}")
         return self._records[i - 1]
 
-    def __len__(self) -> int:
-        return len(self._records)
-
 
 def load_landmark_track(path) -> LandmarkTrack:
     """Load a landmark CSV (header: frame,chin_x,chin_y,lear_x,lear_y,rear_x,rear_y)."""

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RoiGeometryConfig
-from .ingest import PIXEL_FORMATS, RGB24, VideoMeta, write_manifest, write_pnm
+from .ingest import MANIFEST_NAME, PIXEL_FORMATS, RGB24, VideoMeta, write_manifest, write_pnm
 from .roi import LandmarkSet, RoiRect, roi_from_landmarks, write_landmark_track
 
 RR_FLOOR, RR_CEIL = 6.0, 45.0
@@ -69,10 +69,9 @@ class SynthConfig:
     walk_amplitude: float = 0.0  # target std of the walk over a 20 s window
 
     def validate(self) -> None:
-        if self.width < 16 or self.height < 16:
-            raise ValueError("frame must be at least 16x16")
-        if self.fps <= 0 or self.duration_s <= 0:
-            raise ValueError("fps and duration_s must be positive")
+        if self.duration_s <= 0:
+            raise ValueError("duration_s must be positive")
+        self.meta  # VideoMeta checks the frame size, the fps and the pixel format
         if not self.rr_segments:
             raise ValueError("need at least one rr segment")
         starts = [s for s, _ in self.rr_segments]
@@ -83,8 +82,6 @@ class SynthConfig:
                 raise ValueError(f"rr {rr} outside [{RR_FLOOR}, {RR_CEIL}] BPM")
         if self.amplitude_px < 0:
             raise ValueError("amplitude_px must be >= 0")
-        if self.pixel_format not in PIXEL_FORMATS:
-            raise ValueError(f"unknown pixel_format {self.pixel_format!r}")
         if self.container not in CONTAINERS:
             raise ValueError(f"unknown container {self.container!r}")
         if not 0 < self.chest_width_frac <= 1:
@@ -97,13 +94,6 @@ class SynthConfig:
     @property
     def meta(self) -> VideoMeta:
         return VideoMeta(self.width, self.height, self.fps, self.frame_count, self.pixel_format)
-
-    def rr_at(self, t: float) -> float:
-        rr = self.rr_segments[0][1]
-        for start, value in self.rr_segments:
-            if t >= start:
-                rr = value
-        return rr
 
     def phase_at(self, t: float) -> float:
         """Accumulated breathing phase in radians (continuous across segments)."""
@@ -161,7 +151,6 @@ class _Scene:
     """Precomputed textures and per-frame column rendering."""
 
     def __init__(self, cfg: SynthConfig):
-        cfg.validate()
         self.cfg = cfg
         self.geom = scene_geometry(cfg)
         rng = np.random.default_rng([cfg.texture_seed, 0])
@@ -270,7 +259,7 @@ def generate(cfg: SynthConfig, out_path) -> SynthDataset:
 
     scene = _Scene(cfg)
     meta = cfg.meta
-    write_manifest(out_dir / "meta.json", meta)
+    write_manifest(out_dir / MANIFEST_NAME, meta)
 
     if cfg.container == "raw":
         ext = ".rgb24" if cfg.pixel_format == RGB24 else ".gray8"

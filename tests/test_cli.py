@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from rrvision.cli import main
+from rrvision.synth import SynthConfig, generate
 
 from conftest import make_recording
 
@@ -27,7 +28,7 @@ class TestRun:
         assert len(lines) == 42
         ts = [float(l.split(",")[0]) for l in lines[1:]]
         assert ts[0] == 20.0 and ts[-1] == 60.0
-        assert "profile_push_ms" in err
+        assert "frame_ms" in err and "max=" in err
 
     def test_landmarks_default_to_sibling_file(self, capsys, cadence_recording):
         code, out, _ = run_cli(capsys, "run", cadence_recording.video_path)
@@ -83,7 +84,7 @@ class TestRun:
         )
         assert code == 0
         summary = json.loads(out_json.read_text())
-        assert summary["frame_profile_push"]["n"] == 1800
+        assert summary["frame_total"]["n"] == 1800
         assert summary["window_analysis"]["n"] == 41
 
     def test_out_file(self, capsys, tmp_path, cadence_recording):
@@ -208,6 +209,22 @@ class TestSynthCommand:
             )
             assert code == 0
         assert (tmp_path / "a/video.gray8").read_bytes() == (tmp_path / "b/video.gray8").read_bytes()
+
+    def test_corpus_recipe_matches_generate(self, capsys, tmp_path):
+        # the README's corpus loop: each flag must land on its SynthConfig field
+        code, _, _ = run_cli(
+            capsys, "synth", tmp_path / "cli", "--width", "160", "--height", "120",
+            "--fps", "20", "--duration-s", "1", "--rr-segments", "0:12",
+            "--noise-sigma", "6", "--pixel-format", "GRAY8", "--texture-seed", "3",
+        )
+        assert code == 0
+        generate(SynthConfig(width=160, height=120, fps=20.0, duration_s=1.0,
+                             rr_segments=[(0.0, 12.0)], noise_sigma=6.0,
+                             pixel_format="GRAY8", texture_seed=3), tmp_path / "api")
+        names = ["ground_truth.csv", "landmarks.csv", "meta.json", "video.gray8"]
+        assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
 
     def test_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "s.json"

@@ -62,10 +62,10 @@ class TestRunStream:
             preds.append(p)
             time.sleep(0.1)  # the consumer's time is no frame's time
         assert max(timings.frame_total) < 0.1
-        assert len(timings.profile_push) == 630
+        assert len(timings.frame_total) == 630
         assert len(timings.analysis) == len(preds) == 2
         s = timings.summary()
-        assert s["frame_profile_push"]["p99_ms"] > 0
+        assert s["frame_total"]["p99_ms"] > 0
         assert s["window_analysis"]["p50_ms"] > 0
 
     def test_clock_is_read_only_when_timing(self, tmp_path, monkeypatch):
@@ -84,9 +84,9 @@ class TestRunStream:
         timings = StageTimings()
         list(run_stream(ds.video_path, RunConfig(), landmarks_path=ds.landmarks_path,
                         timings=timings))
-        assert len(timings.frame_total) == len(timings.profile_push) == 30
-        # three per frame, and one more before the request that ends the stream
-        assert len(calls) == 3 * 30 + 1
+        assert len(timings.frame_total) == 30
+        # two per frame, and one more before the request that ends the stream
+        assert len(calls) == 2 * 30 + 1
 
     def test_frame_total_includes_the_read(self, tmp_path, monkeypatch):
         ds = make_recording(tmp_path / "clip", duration_s=1.0)

@@ -126,5 +126,5 @@ class TestLandmarkTrack:
         p = tmp_path / "lm.csv"
         write_landmark_track(p, records)
         track = load_landmark_track(p)
-        assert len(track) == 2
-        assert track.lookup(600).chin == (101.5, 102.25)
+        assert track.lookup(0) == records[0]
+        assert track.lookup(600) == records[1]

@@ -35,6 +35,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_cfg(rr_segments=[(0.0, 15.0), (0.0, 20.0)]).validate()
 
+    @pytest.mark.parametrize(
+        "bad", [{"width": 8}, {"height": 15}, {"fps": 0.0}, {"pixel_format": "YUV"}]
+    )
+    def test_frame_settings_rejected_before_disk(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            generate(small_cfg(**bad), tmp_path / "rec")
+        assert not (tmp_path / "rec").exists()
+
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError, match="amplitude"):
             small_cfg(amplitude_px=-1.0).validate()
@@ -43,8 +51,6 @@ class TestConfigValidation:
         cfg = small_cfg(rr_segments=[(0.0, 15.0), (30.0, 20.0)])
         eps = 1e-6
         assert cfg.phase_at(30.0 + eps) - cfg.phase_at(30.0 - eps) < 1e-3
-        assert cfg.rr_at(29.9) == 15.0
-        assert cfg.rr_at(30.0) == 20.0
 
 
 class TestGenerate:
