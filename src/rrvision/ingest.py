@@ -230,12 +230,13 @@ def _open_raw(filepath: Path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
 
 
 def to_grayscale(pixels: np.ndarray) -> np.ndarray:
-    """Average the RGB channels into one real-valued plane; GRAY8 only becomes float.
+    """Canny's input: the RGB channels averaged into one float plane; GRAY8 only becomes float.
 
     Equal channel weights. RGB samples must be uint8, as the readers give
     them: their sum, at most 765, is exact in uint16, and one division by
     3.0 then equals the float mean of the channels bit for bit. No rounding
-    happens here so downstream row averages see full precision.
+    happens here, so the edge detector sees full precision. Profiles do not
+    go through this plane: they average the uint8 samples themselves.
     """
     if pixels.ndim == 3:
         if pixels.dtype != np.uint8:

@@ -1,10 +1,11 @@
 """Streaming pipeline: frames in, one RR prediction per step out.
 
-Per frame: crop the ROI, convert the crop to grayscale, take its masked row
-means, resample them and push the profile into the window. The window's
-MotionBuffer owns the frame schedule; when it says the next column starts an
-epoch, the ROI is re-estimated first, and the crop's mask and row plan are
-built: the dilated Canny edges in edges mode, every pixel in full_roi mode.
+Per frame: crop the ROI, take the uint8 crop's masked row means, resample
+them and push the profile into the window. The window's MotionBuffer owns the
+frame schedule; when it says the next column starts an epoch, the ROI is
+re-estimated first, and the crop's mask and row plan are built: the dilated
+Canny edges of the grayscale crop in edges mode, every pixel in full_roi
+mode. Only those epoch starts convert a crop to grayscale.
 Whenever the window emits a snapshot the breathing analysis runs on it and a
 prediction is yielded. When the caller passes a StageTimings, wall time is
 recorded per frame and per window so the CLI can report and tests can assert
@@ -91,16 +92,15 @@ def run_stream(
                 roi_rect = RoiRect(*cfg.fixed_roi).clamped(meta)
             else:
                 roi_rect = roi_from_landmarks(track.lookup(frame.index), meta, cfg.geometry)
-        # Canny reads the gray crop first; the profile then overwrites it
-        gray_roi = to_grayscale(roi_rect.crop(frame.data))
+        pixels = roi_rect.crop(frame.data)
         if epoch_start:
             if cfg.profile_mode == "edges":
-                mask = dilate(canny(gray_roi, cfg.canny), cfg.canny.dilation_radius)
+                mask = dilate(canny(to_grayscale(pixels), cfg.canny), cfg.canny.dilation_radius)
             else:
-                mask = np.ones(gray_roi.shape, dtype=bool)
-            plan = plan_rows(mask, cfg.canonical_len)
+                mask = np.ones(pixels.shape[:2], dtype=bool)
+            plan = plan_rows(mask, cfg.canonical_len, meta.channels)
 
-        event = buffer.push_profile(extract_profile(gray_roi, plan))
+        event = buffer.push_profile(extract_profile(pixels, plan))
         if timings is not None:
             t_push = time.perf_counter()
             timings.frame_total.append(t_push - t_start)

@@ -30,7 +30,7 @@ from conftest import make_recording
 from test_breathing import oracle_detect_peaks, oracle_moving_average
 from test_edges import oracle_canny, vstep
 from test_evaluate import pred
-from test_profile import resample, row_means
+from test_profile import exact_row_mean, random_crop, resample, row_means
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -199,11 +199,12 @@ class TestCriterion5OracleEquivalence:
             )
             assert got == pytest.approx(want, abs=1e-9)
 
-            # row means
-            roi = rng.uniform(0, 255, size=(int(rng.integers(2, 6)), int(rng.integers(1, 6))))
-            assert row_means(roi) == pytest.approx(
-                [sum(map(float, row)) / len(row) for row in roi], rel=1e-12
-            )
+            # row means of GRAY8 and RGB crops: the exact mean, correctly rounded
+            h, w = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+            for rgb in (False, True):
+                roi = random_crop(rng, h, w, rgb)
+                want = [float(exact_row_mean(row, np.ones(w, dtype=bool))) for row in roi]
+                assert list(row_means(roi)) == want
 
             # moving average
             wave = rng.uniform(-5, 5, size=int(rng.integers(3, 25)))
@@ -237,8 +238,8 @@ class TestCriterion5OracleEquivalence:
         report(
             "criterion-5 oracle equivalence",
             True,
-            f"canny exact on {canny_cases} step images; resample/row-mean/moving-average/"
-            f"peak-thinning/MAE-SR2/detrend checked on {n_inst} instances each",
+            f"canny exact on {canny_cases} step images; resample/row-mean (GRAY8 and RGB)/"
+            f"moving-average/peak-thinning/MAE-SR2/detrend checked on {n_inst} instances each",
         )
 
 

@@ -135,6 +135,23 @@ class TestOpenSource:
         with pytest.raises(ValueError, match="size mismatch"):
             open_source(tmp_path / "v.rgb24")
 
+    def test_raw_truncated_after_open(self, tmp_path):
+        _write_manifest(None, tmp_path, pixel_format="GRAY8", frame_count=3)
+        path = tmp_path / "v.gray8"
+        path.write_bytes(b"\0" * (32 * 24 * 3))
+        meta, stream = open_source(path)
+        path.write_bytes(b"\0" * (32 * 24 * 2 + 5))  # shrinks while the stream is open
+        assert next(stream).index == 0
+        assert next(stream).index == 1
+        with pytest.raises(ValueError, match="size mismatch reading frame 2"):
+            next(stream)
+
+    def test_raw_frames_are_read_only(self, tmp_path):
+        _write_manifest(None, tmp_path, pixel_format="RGB24", frame_count=1)
+        (tmp_path / "v.rgb24").write_bytes(b"\0" * (32 * 24 * 3))
+        meta, stream = open_source(tmp_path / "v.rgb24")
+        assert not next(stream).data.flags.writeable
+
     def test_raw_format_mismatch(self, tmp_path):
         _write_manifest(None, tmp_path, pixel_format="RGB24", frame_count=1)
         (tmp_path / "v.gray8").write_bytes(b"\0" * (32 * 24))

@@ -131,6 +131,24 @@ def reest_every_5s() -> RunConfig:
     return cfg
 
 
+class TestGrayscaleOnlyForCanny:
+    @pytest.mark.parametrize("mode,want", [("edges", 8), ("full_roi", 0)])
+    def test_one_conversion_per_edges_epoch(self, reest_recording, monkeypatch, mode, want):
+        calls = []
+        real = pipeline.to_grayscale
+
+        def counted(pixels):
+            calls.append(pixels.shape)
+            return real(pixels)
+
+        monkeypatch.setattr(pipeline, "to_grayscale", counted)
+        cfg = reest_every_5s()
+        cfg.profile_mode = mode
+        ds = reest_recording
+        run_recording(ds.video_path, cfg, landmarks_path=ds.landmarks_path)
+        assert len(calls) == want  # edges: frames 0, 150, ..., 1050
+
+
 class TestEpochStitching:
     def test_predictions_stay_continuous_across_reestimation(self, reest_recording):
         # re-estimate every 5 s: plenty of epoch boundaries inside each window

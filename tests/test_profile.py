@@ -1,55 +1,71 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rrvision.profile import extract_profile, plan_rows
+from rrvision.profile import extract_profile, fill_and_resample, plan_rows
 
 
-def row_means(roi, mask=None):
-    """Raw per-row profile: resampling to the ROI height is the identity."""
-    mask = np.ones(roi.shape, dtype=bool) if mask is None else mask
-    return extract_profile(roi.copy(), plan_rows(mask, roi.shape[0]))  # it overwrites roi
+def row_means(pixels, mask=None):
+    """Raw per-row profile of a uint8 crop: resampling to the ROI height is the identity."""
+    mask = np.ones(pixels.shape[:2], dtype=bool) if mask is None else mask
+    channels = 1 if pixels.ndim == 2 else pixels.shape[2]
+    return extract_profile(pixels, plan_rows(mask, pixels.shape[0], channels))
+
+
+def exact_row_mean(row, row_mask):
+    """The mean of a row's masked samples, all channels, as a Fraction."""
+    samples = [int(v) for v in row[row_mask].ravel()]
+    return Fraction(sum(samples), len(samples))
+
+
+def random_crop(rng, h, w, rgb):
+    return rng.integers(0, 256, size=(h, w, 3) if rgb else (h, w), dtype=np.uint8)
 
 
 def resample(raw, length):
-    """A raw profile resampled: one-pixel rows have their value as mean."""
-    raw = np.array(raw, dtype=np.float64)  # a copy: extract_profile overwrites it
-    return extract_profile(raw[:, None], plan_rows(np.ones((len(raw), 1), bool), length))
+    """A raw profile resampled: with every row valid, the means are the profile."""
+    raw = np.asarray(raw, dtype=np.float64)
+    return fill_and_resample(raw, plan_rows(np.ones((len(raw), 1), bool), length))
 
 
 class TestFullRoiProfile:
     def test_constant_roi(self):
-        assert np.array_equal(row_means(np.full((2, 2), 60.0)), [60.0, 60.0])
+        assert np.array_equal(row_means(np.full((2, 2), 60, np.uint8)), [60.0, 60.0])
 
     def test_two_extreme_rows(self):
-        roi = np.vstack([np.zeros((1, 10)), np.full((1, 10), 255.0)])
-        assert np.array_equal(row_means(roi), [0.0, 255.0])
+        for shape in [(1, 10), (1, 640, 3)]:  # a saturated VGA RGB row sums past 2**16
+            roi = np.vstack([np.zeros(shape, np.uint8), np.full(shape, 255, np.uint8)])
+            assert np.array_equal(row_means(roi), [0.0, 255.0])
 
     def test_matches_row_mean_oracle_1000_instances(self):
         rng = np.random.default_rng(0)
-        for _ in range(1000):
-            h, w = rng.integers(2, 9), rng.integers(1, 9)
-            roi = rng.uniform(0, 255, size=(h, w))
-            got = row_means(roi)
-            for i in range(h):
-                want = sum(float(v) for v in roi[i]) / w
-                assert got[i] == pytest.approx(want, rel=1e-12)
+        for rgb in (False, True):
+            for _ in range(1000):
+                h, w = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+                roi = random_crop(rng, h, w, rgb)
+                mask = rng.random((h, w)) < 0.5
+                mask[np.arange(h), rng.integers(0, w, size=h)] = True  # no empty row
+                got = row_means(roi, mask)
+                for i in range(h):
+                    assert got[i] == float(exact_row_mean(roi[i], mask[i]))
 
     @settings(max_examples=50)
-    @given(seed=st.integers(0, 10**6))
-    def test_invariant_to_permuting_pixels_within_rows(self, seed):
+    @given(seed=st.integers(0, 10**6), rgb=st.booleans())
+    def test_invariant_to_permuting_pixels_within_rows(self, seed, rgb):
         rng = np.random.default_rng(seed)
-        roi = rng.uniform(0, 255, size=(5, 7))
+        roi = random_crop(rng, 5, 7, rgb)
         shuffled = roi.copy()
         for row in shuffled:
-            rng.shuffle(row)
-        assert row_means(shuffled) == pytest.approx(row_means(roi), rel=1e-12)
+            rng.shuffle(row)  # whole pixels: an RGB triple moves as one
+        assert np.array_equal(row_means(shuffled), row_means(roi))
 
     def test_vertical_shift_moves_profile_by_one_row(self):
         # horizontal stripes: shifting content down by one row shifts the profile
-        stripes = np.repeat(np.arange(8, dtype=np.float64) * 30, 2)[:, None].repeat(6, axis=1)
+        stripes = np.repeat(np.arange(8, dtype=np.uint8) * 30, 2)[:, None].repeat(6, axis=1)
         shifted = np.roll(stripes, 1, axis=0)
         assert np.array_equal(row_means(shifted)[1:], row_means(stripes)[:-1])
 
@@ -57,28 +73,28 @@ class TestFullRoiProfile:
 class TestEdgesProfile:
     def test_full_mask_equals_full_roi_exactly(self):
         rng = np.random.default_rng(1)
-        roi = rng.uniform(0, 255, size=(12, 9))
+        roi = random_crop(rng, 12, 9, rgb=False)
         assert np.array_equal(row_means(roi), roi.sum(axis=1) / roi.shape[1])
-        plan = plan_rows(np.ones_like(roi, dtype=bool), 12)
+        plan = plan_rows(np.ones(roi.shape, dtype=bool), 12)
         assert np.array_equal(plan.valid_rows, np.arange(12))
 
     def test_invalid_row_linear_fill(self):
-        roi = np.array([[10.0, 99.0], [55.0, 77.0], [30.0, 99.0]])
+        roi = np.array([[10, 99], [55, 77], [30, 99]], np.uint8)
         mask = np.array([[True, False], [False, False], [True, False]])
         assert np.array_equal(row_means(roi, mask), [10.0, 20.0, 30.0])
         assert list(plan_rows(mask, 3).valid_rows) == [0, 2]
 
     def test_constant_extension_at_ends(self):
-        roi = np.arange(12, dtype=np.float64).reshape(4, 3)
-        mask = np.zeros_like(roi, dtype=bool)
+        roi = np.arange(12, dtype=np.uint8).reshape(4, 3)
+        mask = np.zeros(roi.shape, dtype=bool)
         mask[1, 1] = True
         mask[2, 0] = True
         assert np.array_equal(row_means(roi, mask), [4.0, 4.0, 6.0, 6.0])
 
     def test_single_pixel_per_row(self):
         rng = np.random.default_rng(2)
-        roi = rng.uniform(0, 255, size=(6, 5))
-        mask = np.zeros_like(roi, dtype=bool)
+        roi = random_crop(rng, 6, 5, rgb=False)
+        mask = np.zeros(roi.shape, dtype=bool)
         picks = rng.integers(0, 5, size=6)
         mask[np.arange(6), picks] = True
         assert np.array_equal(row_means(roi, mask), roi[np.arange(6), picks])
@@ -87,33 +103,41 @@ class TestEdgesProfile:
         rng = np.random.default_rng(4)
         mask = rng.random((7, 5)) < 0.5
         mask[0, 0] = True
-        plan = plan_rows(mask, 7)
+        plan = plan_rows(mask, 7, 3)
         for _ in range(3):
-            roi = rng.uniform(0, 255, size=(7, 5))
-            p = extract_profile(roi.copy(), plan)
+            roi = random_crop(rng, 7, 5, rgb=True)
+            p = extract_profile(roi, plan)
             assert p.dtype == np.float64 and p.shape == (7,)
             assert np.array_equal(p, row_means(roi, mask))
 
-    def test_overwrites_input_with_its_masked_pixels(self):
+    def test_leaves_input_unchanged(self):
         rng = np.random.default_rng(5)
-        roi = rng.uniform(1, 255, size=(6, 8))  # no zeros of its own
-        full = roi.copy()
-        extract_profile(full, plan_rows(np.ones(roi.shape, dtype=bool), 10))
-        assert np.array_equal(full, roi)
-        mask = rng.random(roi.shape) < 0.4
-        mask[0, 0] = True
-        edges = roi.copy()
-        extract_profile(edges, plan_rows(mask, 10))
-        assert np.array_equal(edges, np.where(mask, roi, 0.0))
+        for rgb in (False, True):
+            frame = random_crop(rng, 10, 12, rgb)
+            frame.setflags(write=False)  # as the raw reader's frames are
+            roi = frame[2:8, 3:11]  # a strided crop, as the pipeline passes it
+            mask = rng.random(roi.shape[:2]) < 0.4
+            mask[0, 0] = True
+            before = roi.copy()
+            assert np.array_equal(row_means(roi, mask), row_means(before, mask))
+            assert np.array_equal(roi, before)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="no edge pixels"):
             plan_rows(np.zeros((4, 4), dtype=bool), 4)
 
     def test_shape_mismatch_rejected(self):
+        gray8 = plan_rows(np.ones((3, 4), dtype=bool), 5)
+        rgb24 = plan_rows(np.ones((3, 4), dtype=bool), 5, 3)
+        for plan, shape in [(gray8, (4, 4)), (gray8, (3, 5)), (gray8, (3, 4, 3)), (rgb24, (3, 4))]:
+            with pytest.raises(ValueError, match="do not fit a plan"):
+                extract_profile(np.ones(shape, np.uint8), plan)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int8, np.float64])
+    def test_non_uint8_rejected(self, dtype):
         plan = plan_rows(np.ones((3, 4), dtype=bool), 5)
-        with pytest.raises(ValueError):
-            extract_profile(np.ones((4, 4)), plan)
+        with pytest.raises(ValueError, match="must be uint8"):
+            extract_profile(np.ones((3, 4), dtype), plan)
 
 
 class TestResample:
