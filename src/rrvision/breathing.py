@@ -205,10 +205,9 @@ def predict(series: list[RRSeries], t: float, cfg: BreathingConfig) -> RRPredict
     )
 
 
-def analyze_window(window: MotionWindow, cfg: BreathingConfig, t: float | None = None) -> RRPrediction:
+def analyze_window(window: MotionWindow, cfg: BreathingConfig) -> RRPrediction:
     """Full per-window analysis; returns an invalid prediction when no group qualifies."""
-    t = window.end_time_s if t is None else t
     fs = window.fs
     waves = smooth(group_to_wave(select_and_group(window, cfg)), fs, cfg)
     series = [instantaneous_rr(detect_peaks(wave, fs, cfg), fs, cfg) for wave in waves]
-    return predict(series, t, cfg)
+    return predict(series, window.end_time_s, cfg)

@@ -41,7 +41,7 @@ def _add_config_flags(p, obj, names=None, section: str = "") -> None:
         if dataclasses.is_dataclass(default):
             _add_config_flags(p.add_argument_group(name, type(default).__doc__), default,
                               section=name)
-        elif name != "fixed_roi":  # --fixed-roi x,y,w,h goes through _parse_roi
+        else:
             kind = {list: str, type(None): float}.get(type(default), type(default))
             p.add_argument("--" + name.replace("_", "-"), type=kind, dest=f"{section}.{name}",
                            choices=choices, metavar=None if choices else name.upper(),
@@ -61,10 +61,7 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
 def _build_run_config(args: argparse.Namespace) -> cfgmod.RunConfig:
     # validated once, after the flags: a flag may fix a value of the file
     cfg = cfgmod.RunConfig.from_dict(_read_json(args.config)) if args.config else cfgmod.RunConfig()
-    overrides = _flag_overrides(args)
-    if getattr(args, "fixed_roi", None):
-        overrides["fixed_roi"] = _parse_roi(args.fixed_roi)
-    cfgmod.apply_overrides(cfg, overrides, "flags")
+    cfgmod.apply_overrides(cfg, _flag_overrides(args), "flags")
     cfg.validate()
     return cfg
 
@@ -74,34 +71,31 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _parse_roi(text: str) -> list[int]:
+def _parse_roi(text: str) -> tuple[int, int, int, int]:
     """Parse "x,y,w,h" into four integers."""
     try:
         x, y, w, h = (int(v) for v in text.split(","))
     except ValueError:
         raise ValueError("fixed_roi must be four integers x,y,w,h") from None
-    return [x, y, w, h]
+    return x, y, w, h
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
+    fixed_roi = _parse_roi(args.fixed_roi) if args.fixed_roi else None
     if args.dump_config:
         sys.stdout.write(cfgmod.dump_config(cfg))
         return 0
-    if cfg.fixed_roi is None and args.landmarks is None:
-        # default to the landmark sidecar synth writes next to the video
-        candidate = Path(args.video).parent / "landmarks.csv"
-        if candidate.is_file():
-            args.landmarks = candidate
-        else:
-            print("error: need --landmarks or --fixed-roi", file=sys.stderr)
-            return 1
+    # default to the landmark sidecar synth writes next to the video, if there is one
+    sidecar = Path(args.video).parent / "landmarks.csv"
+    landmarks = args.landmarks or (sidecar if sidecar.is_file() else None)
 
     # the header goes out with the first row, so a run rejected before it leaves no file
     out = None
     timings = StageTimings()
     try:
-        for p in run_stream(args.video, cfg, landmarks_path=args.landmarks, timings=timings):
+        for p in run_stream(args.video, cfg, landmarks_path=landmarks, fixed_roi=fixed_roi,
+                            timings=timings):
             out = out or _open_predictions(args.out)
             rr = f"{p.rr_bpm:.4f}" if p.valid else ""
             group = str(p.group_index) if p.valid else ""
@@ -166,6 +160,10 @@ def _parse_segments(text: str) -> list[tuple[float, float]]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
+    base = cfgmod.RunConfig()
+    if (cfg.profile_mode, cfg.breathing.top_frac) != (base.profile_mode, base.breathing.top_frac):
+        raise ValueError("eval sets profile_mode and top_frac per cell; "
+                         "use --single-cell MODE,FRACTION")
     recordings = evaluate.load_dataset_manifest(args.manifest)
     if args.single_cell:
         mode, _, frac = args.single_cell.partition(",")
@@ -180,7 +178,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
     sys.stdout.write(table)
-    print("# success rate counts |error| <= 2.0 BPM (inclusive)", file=sys.stderr)
+    print(f"# success rate counts |error| <= {evaluate.SR_BOUND_BPM} BPM (inclusive)",
+          file=sys.stderr)
     for c in cells:
         print(f"# {evaluate.describe_cell(c)}", file=sys.stderr)
     return 2 if any(c.error is not None for c in cells) else 0

@@ -1,7 +1,9 @@
 """Configuration dataclasses and JSON config-file handling.
 
-A run is fully described by a RunConfig. Every field has a default; a JSON
-config file overrides defaults, and CLI flags override the config file.
+A run is a RunConfig plus its inputs: the recording and its ROI source, a
+landmark file or a fixed rectangle, which are arguments, not config keys.
+Every field has a default; a JSON config file overrides defaults, and CLI
+flags override the config file.
 """
 
 from __future__ import annotations
@@ -10,9 +12,8 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
 
-# smallest ROI side, in pixels, that fixed_roi, ROI clamping and Canny accept
+# smallest ROI side, in pixels, that ROI clamping and Canny accept
 MIN_ROI_SIDE = 8
 PROFILE_MODES = ("edges", "full_roi")
 
@@ -100,7 +101,6 @@ class RunConfig:
     breathing: BreathingConfig = field(default_factory=BreathingConfig)
     profile_mode: str = field(default="edges", metadata={"choices": PROFILE_MODES})
     canonical_len: int = 100
-    fixed_roi: Optional[tuple[int, int, int, int]] = None
 
     def validate(self) -> None:
         self.schedule.validate()
@@ -110,10 +110,6 @@ class RunConfig:
             raise ValueError(f"unknown profile_mode {self.profile_mode!r}")
         if self.canonical_len < 2:
             raise ValueError("canonical_len must be >= 2")
-        if self.fixed_roi is not None:
-            x, y, w, h = self.fixed_roi
-            if w < MIN_ROI_SIDE or h < MIN_ROI_SIDE:
-                raise ValueError(f"fixed_roi smaller than {MIN_ROI_SIDE}x{MIN_ROI_SIDE}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -125,9 +121,8 @@ class RunConfig:
 def apply_overrides(obj, d: dict, where: str, _prefix: str = "") -> None:
     """Set fields of the config dataclass obj from a (possibly partial) nested dict.
 
-    A field whose default is a dataclass is a section and takes a nested dict,
-    fixed_roi goes through fixed_roi_from_json, and any other value must fit
-    the type of the field's default (see _fits); else ValueError.
+    A field whose default is a dataclass is a section and takes a nested dict;
+    any other value must fit its default's type (see _fits), else ValueError.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where}: {_prefix[:-1] or 'config'} must be an object, not {d!r}")
@@ -139,8 +134,6 @@ def apply_overrides(obj, d: dict, where: str, _prefix: str = "") -> None:
         default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
         if dataclasses.is_dataclass(default):
             apply_overrides(getattr(obj, key), value, where, name + ".")
-        elif key == "fixed_roi":
-            obj.fixed_roi = fixed_roi_from_json(value, where)
         elif not _fits(default, value):
             raise ValueError(f"{where}: {name} must be {_KINDS[type(default)]}, not {value!r}")
         else:
@@ -163,15 +156,6 @@ def _fits(default, value) -> bool:
     if default is None:
         return value is None or finite
     return finite if isinstance(default, float) else type(value) is type(default)
-
-
-def fixed_roi_from_json(value, where: str) -> Optional[tuple[int, int, int, int]]:
-    """A JSON fixed_roi: null, or a list of four integers x, y, w, h."""
-    if value is None:
-        return None
-    if not (isinstance(value, list) and len(value) == 4 and all(type(v) is int for v in value)):
-        raise ValueError(f"{where}: fixed_roi must be a list of four integers, not {value!r}")
-    return tuple(value)
 
 
 def dump_config(cfg: RunConfig) -> str:

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .breathing import RRPrediction, group_layout, predict
-from .config import RunConfig, apply_overrides, fixed_roi_from_json
+from .config import RunConfig, apply_overrides
 from .pipeline import run_recording
 
 SR_BOUND_BPM = 2.0
@@ -134,6 +134,15 @@ def group_rank_stats(group_indices: Sequence[int]) -> float:
     return sum(1 for g in group_indices if g >= 2) / len(group_indices)
 
 
+def fixed_roi_from_json(value, where: str) -> Optional[tuple[int, int, int, int]]:
+    """A manifest entry's fixed_roi: null, or a list of four integers x, y, w, h."""
+    if value is None:
+        return None
+    if not (isinstance(value, list) and len(value) == 4 and all(type(v) is int for v in value)):
+        raise ValueError(f"{where}: fixed_roi must be a list of four integers, not {value!r}")
+    return tuple(value)
+
+
 def load_dataset_manifest(path) -> list[RecordingSpec]:
     """JSON list of recordings; relative paths resolve against the manifest."""
     path = Path(path)
@@ -190,8 +199,7 @@ def run_cell(
         errors: dict[int, list[float]] = {i: [] for i in members}
         try:
             for rec in recordings:
-                pass_cfg.fixed_roi = rec.fixed_roi
-                windows = run_recording(rec.video_path, pass_cfg, landmarks_path=rec.landmarks_path)
+                windows = run_recording(rec.video_path, pass_cfg, rec.landmarks_path, rec.fixed_roi)
                 gt = load_ground_truth(rec.ground_truth_path)
                 for i in members:
                     cell_preds = [_as_cell(w, cfgs[i]) for w in windows]
@@ -253,7 +261,7 @@ def describe_cell(c: AblationCell) -> str:
     if m.n == 0:
         return f"{label}: no valid predictions ({m.invalid_count} invalid)"
     share = (
-        f", best group below top-5% in {100 * c.best_group_ge2_share:.0f}% of windows"
+        f", best group below the first in {100 * c.best_group_ge2_share:.0f}% of windows"
         if c.best_group_ge2_share is not None
         else ""
     )

@@ -29,7 +29,6 @@ GRAY8 = "GRAY8"
 PIXEL_FORMATS = (RGB24, GRAY8)
 
 MANIFEST_NAME = "meta.json"
-_MANIFEST_KEYS = {"width", "height", "fps", "frame_count", "pixel_format"}
 _FRAME_RE = re.compile(r"^frame_(\d{6})\.(ppm|pgm)$")
 
 
@@ -71,6 +70,9 @@ class FrameBuffer:
 
     index: int
     data: np.ndarray
+
+
+_MANIFEST_KEYS = {f.name for f in dataclasses.fields(VideoMeta)}
 
 
 def load_manifest(path: Path) -> VideoMeta:

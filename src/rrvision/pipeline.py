@@ -62,18 +62,19 @@ def run_stream(
     video_path,
     cfg: RunConfig,
     landmarks_path=None,
+    fixed_roi: Optional[tuple[int, int, int, int]] = None,
     timings: Optional[StageTimings] = None,
 ) -> Iterator[RRPrediction]:
     """Run the full pipeline over a recording, yielding predictions in order.
 
-    The ROI comes from cfg.fixed_roi when set, otherwise from the landmark
-    CSV (required, with a record at or before frame 0).
+    The ROI comes from the input fixed_roi, a rectangle (x, y, w, h), when given,
+    otherwise from the input landmark CSV (with a record at or before frame 0).
     """
     cfg.validate()
     meta, frames = open_source(video_path)
 
     track: Optional[LandmarkTrack] = None
-    if cfg.fixed_roi is None:
+    if fixed_roi is None:
         if landmarks_path is None:
             raise ValueError("need either fixed_roi or a landmark file")
         track = load_landmark_track(landmarks_path)
@@ -88,8 +89,8 @@ def run_stream(
             return
         epoch_start = buffer.epoch_start
         if epoch_start:
-            if cfg.fixed_roi is not None:
-                roi_rect = RoiRect(*cfg.fixed_roi).clamped(meta)
+            if fixed_roi is not None:
+                roi_rect = RoiRect(*fixed_roi).clamped(meta)
             else:
                 roi_rect = roi_from_landmarks(track.lookup(frame.index), meta, cfg.geometry)
         pixels = roi_rect.crop(frame.data)
@@ -112,6 +113,7 @@ def run_stream(
             yield prediction
 
 
-def run_recording(video_path, cfg: RunConfig, landmarks_path=None) -> list[RRPrediction]:
+def run_recording(video_path, cfg: RunConfig, landmarks_path=None,
+                  fixed_roi=None) -> list[RRPrediction]:
     """Collect all predictions for a recording."""
-    return list(run_stream(video_path, cfg, landmarks_path=landmarks_path))
+    return list(run_stream(video_path, cfg, landmarks_path=landmarks_path, fixed_roi=fixed_roi))

@@ -10,9 +10,9 @@ switches. Rows near the boundary's travel range are kept textureless so the
 moving edge is the only structure there.
 
 Rendering is sub-pixel: the pixel the boundary crosses mixes background and
-chest intensity by coverage, and chest rows are sampled with linear
-interpolation at the fractional displacement. Integer-pixel motion at small
-amplitudes would produce staircase signals that flatter the method.
+flat chest intensity by its coverage, so the fractional displacement shows
+in that pixel alone; nothing samples chest rows. Integer-pixel motion at
+small amplitudes would produce staircase signals that flatter the method.
 
 Optional stressors map one-to-one onto pipeline stages: per-pixel Gaussian
 noise (selection), linear illumination drift (detrending), an instantaneous
@@ -33,11 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RoiGeometryConfig
+from .config import BreathingConfig, RoiGeometryConfig
 from .ingest import MANIFEST_NAME, PIXEL_FORMATS, RGB24, VideoMeta, write_manifest, write_pnm
 from .roi import LandmarkSet, RoiRect, roi_from_landmarks, write_landmark_track
 
-RR_FLOOR, RR_CEIL = 6.0, 45.0
+RR_FLOOR, RR_CEIL = BreathingConfig.rr_min, BreathingConfig.rr_max
 CONTAINERS = ("raw", "images")
 
 _BASE_LEVEL = 150.0
@@ -154,11 +154,10 @@ class _Scene:
         self.cfg = cfg
         self.geom = scene_geometry(cfg)
         rng = np.random.default_rng([cfg.texture_seed, 0])
-        h = cfg.height
 
         # static background template with textureless rows near the boundary;
         # band levels alternate sign so every band boundary is a strong edge
-        n_ext = h + _TEMPLATE_PAD
+        n_ext = cfg.height + _TEMPLATE_PAD
         ext = self._band_texture(rng, n_ext, _BASE_LEVEL, cfg.band_contrast)
         y_ext = np.arange(n_ext) - _TEMPLATE_PAD
         quiet = np.abs(y_ext - self.geom.boundary_y) <= self.geom.quiet_half
@@ -169,9 +168,7 @@ class _Scene:
         # every motion signal is a monotone function of the displacement
         # (mixed-polarity moving edges would let opposite-phase pulse rows
         # average into clean frequency-doubled waves)
-        chest_dark = float(np.clip(_BASE_LEVEL - _CHEST_CONTRAST, 5, 250))
-        self._chest = np.full(2 * h, chest_dark, dtype=np.float64)
-        self._chest_pos = np.arange(2 * h, dtype=np.float64)
+        self._chest_dark = float(np.clip(_BASE_LEVEL - _CHEST_CONTRAST, 5, 250))
 
         self.jump_frame = (
             None if cfg.roi_jump_at_s is None else int(round(cfg.roi_jump_at_s * cfg.fps))
@@ -220,9 +217,8 @@ class _Scene:
 
         b = self.boundary_at(frame_index)
         y = np.arange(h, dtype=np.float64)
-        chest_val = np.interp(y - b, self._chest_pos, self._chest)
         alpha = np.clip(b - (y - 0.5), 0.0, 1.0)  # background coverage per pixel
-        chest_col = alpha * static + (1.0 - alpha) * chest_val
+        chest_col = alpha * static + (1.0 - alpha) * self._chest_dark
 
         frame = np.empty((h, w), dtype=np.float64)
         frame[:, :] = static[:, None]

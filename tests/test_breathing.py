@@ -388,12 +388,12 @@ class TestBestGroupAndPredict:
 
     def test_predict_averages(self):
         window = sine_window(20.0, 30.0)
-        pred = analyze_window(window, CFG, t=20.0)
+        pred = analyze_window(window, CFG)
         assert pred.valid
         assert pred.rr_bpm == pytest.approx(20.0, abs=0.5)
 
     def test_invalid_prediction_on_flat_window(self):
-        pred = analyze_window(window_from_rows(np.full((40, 600), 9.0)), CFG, t=20.0)
+        pred = analyze_window(window_from_rows(np.full((40, 600), 9.0)), CFG)
         assert not pred.valid
         assert pred.rr_bpm is None and pred.group_index is None and pred.n_peaks == 0
 
@@ -411,21 +411,21 @@ class TestGroupPrefix:
                 1, 20, size=(n_rows, 1)
             ) * np.sin(2 * np.pi * rng.uniform(0.15, 0.5) * np.arange(400) / 20.0)
             window = window_from_rows(rows, fs=20.0)
-            full = analyze_window(window, CFG, t=20.0)
+            full = analyze_window(window, CFG)
             assert len(full.series) == group_layout(n_rows, CFG)[1]
             k = group_layout(n_rows, cfg)[1]
-            assert predict(full.series[:k], 20.0, cfg) == analyze_window(window, cfg, t=20.0)
+            assert predict(full.series[:k], 20.0, cfg) == analyze_window(window, cfg)
 
     def test_flat_window_has_no_series(self):
-        pred = analyze_window(window_from_rows(np.full((40, 600), 9.0)), CFG, t=20.0)
+        pred = analyze_window(window_from_rows(np.full((40, 600), 9.0)), CFG)
         assert pred.series == []
 
 
 class TestPipelineProperties:
     def test_deterministic(self):
         window = sine_window(15.0, 30.0)
-        a = analyze_window(window, CFG, t=20.0)
-        b = analyze_window(window, CFG, t=20.0)
+        a = analyze_window(window, CFG)
+        b = analyze_window(window, CFG)
         assert a == b
 
     @settings(max_examples=25, deadline=None)
@@ -437,8 +437,8 @@ class TestPipelineProperties:
         )
         base = window_from_rows(rows, fs=10.0)
         scaled = window_from_rows(rows * scale, fs=10.0)
-        a = analyze_window(base, CFG, t=0.0)
-        b = analyze_window(scaled, CFG, t=0.0)
+        a = analyze_window(base, CFG)
+        b = analyze_window(scaled, CFG)
         assert a.valid == b.valid
         assert a.group_index == b.group_index
         assert a.n_peaks == b.n_peaks
@@ -459,7 +459,7 @@ class TestPipelineProperties:
         for _ in range(70):
             rows.append(rng.normal(0, 0.01, size=n))
         window = window_from_rows(rows, fs=fs)
-        pred = analyze_window(window, CFG, t=20.0)
+        pred = analyze_window(window, CFG)
         assert pred.valid
         assert pred.group_index != 1
         assert pred.rr_bpm == pytest.approx(15.0, abs=1.0)
@@ -475,6 +475,6 @@ class TestPipelineProperties:
         oracle_rr = 60.0 * fs / np.mean(np.diff(oracle_peaks))
         assert oracle_rr == pytest.approx(rr, abs=0.5)
 
-        pred = analyze_window(sine_window(rr, fs), CFG, t=20.0)
+        pred = analyze_window(sine_window(rr, fs), CFG)
         assert pred.valid
         assert pred.rr_bpm == pytest.approx(rr, abs=0.5)

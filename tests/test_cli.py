@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from rrvision.cli import main
+from rrvision.evaluate import SR_BOUND_BPM
 from rrvision.synth import SynthConfig, generate
 
 from conftest import make_recording
@@ -134,12 +135,29 @@ class TestDumpConfigRoundTrip:
 
     @pytest.mark.parametrize("roi", [[1, 2], 5], ids=["two_values", "scalar"])
     def test_malformed_fixed_roi_in_config_exits_1(self, capsys, tmp_path, roi):
+        # the ROI source is an input of the run, like --landmarks, not a config key
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"fixed_roi": roi}))
         code, out, err = run_cli(capsys, "run", tmp_path / "v.gray8", "--config", cfg_file)
         assert code == 1
         assert out == ""
-        assert "error: config: fixed_roi must be a list of four integers" in err
+        assert "error: config: unknown config key fixed_roi" in err
+
+    def test_dumped_config_has_no_fixed_roi(self, capsys, tmp_path, cadence_recording):
+        # a dumped run is reproduced by giving --fixed-roi again, as --landmarks must be;
+        # the rectangle is not the landmark box, so the sidecar landmarks give other rows
+        video, roi = cadence_recording.video_path, ["--fixed-roi", "50,55,60,50"]
+        code, dumped, _ = run_cli(capsys, "run", video, *roi, "--dump-config")
+        assert code == 0
+        assert "fixed_roi" not in dumped
+        assert dumped == run_cli(capsys, "run", "v.gray8", "--dump-config")[1]
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(dumped)
+        out_a, out_b, out_c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        assert run_cli(capsys, "run", video, *roi, "--out", out_a)[0] == 0
+        run_cli(capsys, "run", video, *roi, "--config", cfg_file, "--out", out_b)
+        run_cli(capsys, "run", video, "--config", cfg_file, "--out", out_c)
+        assert out_a.read_bytes() == out_b.read_bytes() != out_c.read_bytes()
 
     def test_flag_overrides_config_file(self, capsys, tmp_path, cadence_recording):
         cfg_file = tmp_path / "cfg.json"
@@ -307,6 +325,43 @@ class TestEvalCommand:
         code, out, _ = run_cli(capsys, "eval", manifest, "--single-cell", "edges,0.30")
         assert code == 2
         assert "failed" in out
+
+    # each ablation cell sets profile_mode and top_frac, so eval would silently ignore them
+    PER_CELL = ("error: eval sets profile_mode and top_frac per cell; "
+                "use --single-cell MODE,FRACTION")
+
+    @pytest.mark.parametrize("flags", [["--top-frac", "0.2"], ["--profile-mode", "full_roi"]])
+    def test_per_cell_flag_exits_1(self, capsys, manifest, flags):
+        code, out, err = run_cli(capsys, "eval", manifest, *flags)
+        assert code == 1
+        assert out == ""
+        assert self.PER_CELL in err
+
+    @pytest.mark.parametrize("config", [{"profile_mode": "full_roi"},
+                                        {"breathing": {"top_frac": 0.2}}])
+    def test_per_cell_config_key_exits_1(self, capsys, tmp_path, manifest, config):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "eval", manifest, "--config", cfg_file)
+        assert code == 1
+        assert out == ""
+        assert self.PER_CELL in err
+
+    def test_fixed_roi_in_config_exits_1(self, capsys, tmp_path, manifest):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"fixed_roi": [0, 0, 8, 8]}))
+        code, out, err = run_cli(capsys, "eval", manifest, "--config", cfg_file)
+        assert code == 1
+        assert out == ""
+        assert "error: config: unknown config key fixed_roi" in err
+
+    def test_summary_follows_group_fraction_and_sr_bound(self, capsys, manifest):
+        code, _, err = run_cli(capsys, "eval", manifest, "--group-frac", "0.1",
+                               "--single-cell", "edges,0.30")
+        assert code == 0
+        assert "5%" not in err
+        assert f"|error| <= {SR_BOUND_BPM} BPM" in err
+        assert "best group below the first in " in err
 
     def test_non_object_manifest_entry_exits_1(self, capsys, tmp_path):
         manifest = tmp_path / "m.json"

@@ -191,6 +191,26 @@ class TestManifestAndAblation:
         with pytest.raises(ValueError, match="fixed_roi must be a list of four integers"):
             load_dataset_manifest(p)
 
+    def test_each_recording_runs_on_its_own_roi_source(self, corpus):
+        # one recording by a fixed rectangle that is not its landmark box, one by landmarks
+        root, _, recs = corpus
+        roi = (50, 55, 60, 50)
+        specs = [
+            RecordingSpec(root / recs[0]["video_path"], root / recs[0]["ground_truth_path"],
+                          fixed_roi=roi),
+            RecordingSpec(root / recs[1]["video_path"], root / recs[1]["ground_truth_path"],
+                          landmarks_path=root / recs[1]["landmarks_path"]),
+        ]
+        [cell] = run_cell(specs, RunConfig(), "edges", [0.30])
+        runs = [run_recording(specs[0].video_path, RunConfig(), fixed_roi=roi),
+                run_recording(specs[1].video_path, RunConfig(), specs[1].landmarks_path)]
+        errors = [e for spec, run in zip(specs, runs)
+                  for e in prediction_errors(run, load_ground_truth(spec.ground_truth_path))[0]]
+        n_invalid = sum(not p.valid for run in runs for p in run)
+        assert cell.metrics == metrics_from_errors(errors, n_invalid)
+        assert runs[0] != run_recording(specs[0].video_path, RunConfig(),
+                                        root / recs[0]["landmarks_path"])
+
     def test_four_cells(self, corpus):
         _, manifest, _ = corpus
         cells = ablation(load_dataset_manifest(manifest), RunConfig())

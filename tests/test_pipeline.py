@@ -29,9 +29,9 @@ class TestRunStream:
         assert a == b
 
     def test_fixed_roi_bypasses_landmarks(self, cadence_recording):
-        cfg = RunConfig()
-        cfg.fixed_roi = (40, 50, 80, 60)  # the scene's actual chest box
-        preds = run_recording(cadence_recording.video_path, cfg)
+        # the scene's actual chest box, an input of the recording beside its landmarks
+        preds = run_recording(cadence_recording.video_path, RunConfig(),
+                              fixed_roi=(40, 50, 80, 60))
         valid = [p for p in preds if p.valid]
         assert len(valid) >= 37
         assert np.mean([abs(p.rr_bpm - 15.0) for p in valid]) < 1.0
