@@ -86,9 +86,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.dump_config:
         sys.stdout.write(cfgmod.dump_config(cfg))
         return 0
-    # default to the landmark sidecar synth writes next to the video, if there is one
+    # without a rectangle, default to the landmark sidecar synth writes next to the video
     sidecar = Path(args.video).parent / "landmarks.csv"
-    landmarks = args.landmarks or (sidecar if sidecar.is_file() else None)
+    landmarks = args.landmarks or (sidecar if fixed_roi is None and sidecar.is_file() else None)
 
     # the header goes out with the first row, so a run rejected before it leaves no file
     out = None
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="stream per-second RR predictions from a recording")
     p_run.add_argument("video", help="raw .rgb24/.gray8 file or PPM/PGM directory")
     p_run.add_argument("--landmarks", type=Path, help="landmark CSV (default: sibling landmarks.csv)")
-    p_run.add_argument("--fixed-roi", help="x,y,w,h chest rectangle, bypasses landmarks")
+    p_run.add_argument("--fixed-roi", help="x,y,w,h chest rectangle, instead of landmarks")
     p_run.add_argument("--out", type=Path, help="write predictions CSV here instead of stdout")
     p_run.add_argument("--timing-json", type=Path, help="write stage timing summary JSON")
     p_run.add_argument("--dump-config", action="store_true", help="print merged config and exit")

@@ -164,8 +164,8 @@ def load_dataset_manifest(path) -> list[RecordingSpec]:
         gt = base / e["ground_truth_path"]
         lm = base / e["landmarks_path"] if e.get("landmarks_path") else None
         roi = fixed_roi_from_json(e.get("fixed_roi"), f"recording {e!r} in {path}")
-        if lm is None and roi is None:
-            raise ValueError(f"recording {e} needs landmarks_path or fixed_roi")
+        if (lm is None) == (roi is None):
+            raise ValueError(f"recording {e} needs landmarks_path or fixed_roi, not both")
         specs.append(RecordingSpec(video, gt, lm, roi))
     return specs
 

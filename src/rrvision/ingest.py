@@ -6,7 +6,8 @@ Two on-disk layouts are supported, both bit-exact and codec-free:
   ``frame_%06d.ppm`` / ``frame_%06d.pgm`` together with a ``meta.json``
   manifest, or
 * a single headerless raw file (``.rgb24`` / ``.gray8``, frame-major,
-  row-major, channel-interleaved) with a sibling ``meta.json``.
+  row-major, channel-interleaved) with a sibling ``meta.json``. Its frames
+  are read-only views of the file mapped into memory, not copies.
 
 The manifest is a UTF-8 JSON object with keys exactly
 ``{"width", "height", "fps", "frame_count", "pixel_format"}``.
@@ -17,6 +18,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import mmap
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +33,12 @@ PIXEL_FORMATS = (RGB24, GRAY8)
 
 MANIFEST_NAME = "meta.json"
 _FRAME_RE = re.compile(r"^frame_(\d{6})\.(ppm|pgm)$")
+
+# A raw reader releases its consumed pages in batches of at least this many
+# bytes: a madvise per small frame, and the fresh page faults that follow it,
+# cost more time than they save memory; a larger batch holds more pages.
+RELEASE_BYTES = 256 * 1024
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)  # None where madvise is missing
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,11 @@ class VideoMeta:
 
 @dataclass
 class FrameBuffer:
-    """One decoded frame; data is row-major, shape (h, w, 3) or (h, w)."""
+    """One decoded frame; data is row-major uint8, shape (h, w, 3) or (h, w).
+
+    data is read-only. From a raw file it is a view of the mapped file, valid
+    for as long as it is held; a file rewritten in place changes it.
+    """
 
     index: int
     data: np.ndarray
@@ -167,7 +180,14 @@ def open_source(path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
     ``path`` may be a directory of PPM/PGM frames plus a manifest, or a raw
     ``.rgb24`` / ``.gray8`` file with a sibling manifest. Frames are yielded
     in ascending index order and the stream ends exactly at ``frame_count``.
-    The iterator is single-consumer.
+    The iterator is single-consumer and lazy: it opens no frame data before
+    its first ``next()``, so closing it before then opens nothing.
+
+    A raw file is mapped read-only at the first ``next()``. Each frame's size
+    is checked against the file before its view is handed out, so a file that
+    shrank raises ``ValueError``. Pages of consumed frames are dropped from the
+    process behind the reader, in batches of ``RELEASE_BYTES``; a frame still
+    held re-reads them from the page cache when touched.
     """
     path = Path(path)
     if path.is_dir():
@@ -214,19 +234,27 @@ def _open_raw(filepath: Path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
         raise ValueError(f"size mismatch: {filepath.name} has {actual} bytes, expected {expected}")
 
     def frames() -> Iterator[FrameBuffer]:
+        n = meta.frame_bytes
         shape = (
             (meta.height, meta.width, 3)
             if meta.pixel_format == RGB24
             else (meta.height, meta.width)
         )
         with open(filepath, "rb") as fh:
+            fd, mm, released = fh.fileno(), None, 0
             for i in range(meta.frame_count):
-                chunk = fh.read(meta.frame_bytes)
-                if len(chunk) != meta.frame_bytes:
+                if os.fstat(fd).st_size < (i + 1) * n:
                     raise ValueError(f"size mismatch reading frame {i}")
-                yield FrameBuffer(
-                    index=i, data=np.frombuffer(chunk, dtype=np.uint8).reshape(shape)
-                )
+                if mm is None:  # mapped once frame 0 fits: mmap refuses an empty file
+                    mm = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
+                data = np.frombuffer(mm, np.uint8, n, i * n).reshape(shape)
+                yield FrameBuffer(index=i, data=data)
+                # frames 0..i are consumed: release their whole pages, never closing
+                # the map under live views (reference counting frees it)
+                done = (i + 1) * n // mmap.PAGESIZE * mmap.PAGESIZE
+                if _MADV_DONTNEED is not None and done - released >= RELEASE_BYTES:
+                    mm.madvise(_MADV_DONTNEED, released, done - released)
+                    released = done
 
     return meta, frames()
 

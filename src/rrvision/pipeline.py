@@ -67,16 +67,16 @@ def run_stream(
 ) -> Iterator[RRPrediction]:
     """Run the full pipeline over a recording, yielding predictions in order.
 
-    The ROI comes from the input fixed_roi, a rectangle (x, y, w, h), when given,
-    otherwise from the input landmark CSV (with a record at or before frame 0).
+    The ROI comes from exactly one input: fixed_roi, a rectangle (x, y, w, h), or
+    the landmark CSV (with a record at or before frame 0).
     """
     cfg.validate()
     meta, frames = open_source(video_path)
 
+    if (fixed_roi is None) == (landmarks_path is None):
+        raise ValueError("need either fixed_roi or a landmark file, not both")
     track: Optional[LandmarkTrack] = None
     if fixed_roi is None:
-        if landmarks_path is None:
-            raise ValueError("need either fixed_roi or a landmark file")
         track = load_landmark_track(landmarks_path)
 
     buffer = MotionBuffer(cfg.canonical_len, meta.fps, cfg.schedule)

@@ -107,6 +107,21 @@ class TestRun:
         assert len(rows) == 41
         assert sum(r.endswith(",1") for r in rows) >= 37
 
+    @pytest.mark.parametrize("landmarks", ["sidecar", "missing"])
+    def test_fixed_roi_with_landmarks_flag_exits_1(self, capsys, tmp_path, cadence_recording,
+                                                   landmarks):
+        # an explicit --landmarks is a second ROI source; the sidecar default is not
+        path = {"sidecar": cadence_recording.landmarks_path,
+                "missing": tmp_path / "nonexistent.csv"}[landmarks]
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, "run", cadence_recording.video_path, "--fixed-roi", "40,50,80,60",
+            "--landmarks", path, "--out", out_csv,
+        )
+        assert code == 1
+        assert "not both" in err
+        assert not out_csv.exists()
+
 
 class TestDumpConfigRoundTrip:
     def test_flags_round_trip_to_byte_identical_output(self, capsys, tmp_path, cadence_recording):

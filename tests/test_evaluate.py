@@ -167,6 +167,13 @@ class TestManifestAndAblation:
         with pytest.raises(ValueError, match="landmarks_path or fixed_roi"):
             load_dataset_manifest(p)
 
+    def test_manifest_rejects_two_roi_sources(self, tmp_path):
+        entry = {"video_path": "v.gray8", "ground_truth_path": "gt.csv",
+                 "landmarks_path": "lm.csv", "fixed_roi": [40, 50, 80, 60]}
+        p = write_manifest(tmp_path / "m.json", [entry])
+        with pytest.raises(ValueError, match="not both"):
+            load_dataset_manifest(p)
+
     @pytest.mark.parametrize(
         "entry",
         [

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrvision.ingest import (
+    RELEASE_BYTES,
     VideoMeta,
     load_manifest,
     open_source,
@@ -168,6 +170,44 @@ class TestOpenSource:
             assert f.index == i
             assert np.array_equal(f.data, frames[i])
 
+    def test_raw_frames_survive_page_release(self, tmp_path):
+        # 5,000-byte frames straddle pages, and 1.2 MB spans several release batches
+        w, h, n = 100, 50, 240
+        assert n * w * h >= 4 * RELEASE_BYTES
+        rng = np.random.default_rng(4)
+        frames = rng.integers(0, 256, size=(n, h, w), dtype=np.uint8)
+        _write_manifest(None, tmp_path, width=w, height=h, pixel_format="GRAY8", frame_count=n)
+        (tmp_path / "v.gray8").write_bytes(frames.tobytes())
+        meta, stream = open_source(tmp_path / "v.gray8")
+        decoded = list(stream)  # every frame compared after the reader released it
+        assert [f.index for f in decoded] == list(range(n))
+        for f in decoded:
+            assert np.array_equal(f.data, frames[f.index])
+
+    def test_raw_zero_frames_yields_nothing(self, tmp_path):
+        _write_manifest(None, tmp_path, pixel_format="GRAY8", frame_count=0)
+        (tmp_path / "v.gray8").write_bytes(b"")
+        meta, stream = open_source(tmp_path / "v.gray8")
+        assert meta.frame_count == 0
+        assert list(stream) == []
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+    def test_raw_stream_memory_stays_flat(self, tmp_path):
+        # 49 MB of VGA GRAY8: the mapped file pages must not pile up in the process
+        w, h, n = 640, 480, 160
+        pattern = np.arange(w * h, dtype=np.uint32).astype(np.uint8).tobytes()
+        _write_manifest(None, tmp_path, width=w, height=h, pixel_format="GRAY8", frame_count=n)
+        with open(tmp_path / "v.gray8", "wb") as fh:
+            for _ in range(n):
+                fh.write(pattern)
+        meta, stream = open_source(tmp_path / "v.gray8")
+        rss = [_vm_rss_bytes()]
+        for frame in stream:
+            assert frame.data.max() == 255  # touches every page of the frame
+            if frame.index % 8 == 7:
+                rss.append(_vm_rss_bytes())
+        assert max(rss) - rss[0] < 8 * 2**20, [r // 2**20 for r in rss]
+
     def test_sixty_seconds_at_thirty_fps_is_1800_frames(self, tmp_path):
         w, h, n = 16, 16, 1800
         _write_manifest(None, tmp_path, width=w, height=h, pixel_format="GRAY8", frame_count=n)
@@ -175,6 +215,12 @@ class TestOpenSource:
         meta, stream = open_source(tmp_path / "v.gray8")
         assert meta.frame_count == 1800
         assert sum(1 for _ in stream) == 1800
+
+
+def _vm_rss_bytes() -> int:
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith("VmRSS:"))
+    return int(line.split()[1]) * 1024  # reported in kB
 
 
 class TestSynthRoundTrip:

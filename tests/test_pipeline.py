@@ -49,6 +49,12 @@ class TestRunStream:
         with pytest.raises(ValueError, match="fixed_roi or a landmark"):
             run_recording(cadence_recording.video_path, RunConfig())
 
+    def test_two_roi_sources_rejected(self, cadence_recording):
+        # neither source is dropped in silence, not even a landmark file that exists
+        with pytest.raises(ValueError, match="not both"):
+            run_recording(cadence_recording.video_path, RunConfig(), fixed_roi=(40, 50, 80, 60),
+                          landmarks_path=cadence_recording.landmarks_path)
+
     def test_short_video_yields_nothing(self, tmp_path):
         ds = make_recording(tmp_path / "short", duration_s=10.0)
         assert run_recording(ds.video_path, RunConfig(), landmarks_path=ds.landmarks_path) == []
