@@ -25,7 +25,7 @@ import numpy as np
 
 from .breathing import RRPrediction, analyze_window
 from .config import RunConfig
-from .edges import canny, dilate
+from .edges import CannyScratch, canny, dilate
 from .ingest import open_source, to_grayscale
 from .profile import extract_profile, plan_rows
 from .roi import LandmarkTrack, RoiRect, load_landmark_track, roi_from_landmarks
@@ -80,6 +80,7 @@ def run_stream(
         track = load_landmark_track(landmarks_path)
 
     buffer = MotionBuffer(cfg.canonical_len, meta.fps, cfg.schedule)
+    scratch = CannyScratch()  # Canny's planes, reused at every epoch start
 
     while True:
         if timings is not None:
@@ -96,7 +97,8 @@ def run_stream(
         pixels = roi_rect.crop(frame.data)
         if epoch_start:
             if cfg.profile_mode == "edges":
-                mask = dilate(canny(to_grayscale(pixels), cfg.canny), cfg.canny.dilation_radius)
+                mask = dilate(canny(to_grayscale(pixels), cfg.canny, scratch),
+                              cfg.canny.dilation_radius)
             else:
                 mask = np.ones(pixels.shape[:2], dtype=bool)
             plan = plan_rows(mask, cfg.canonical_len, meta.channels)

@@ -45,7 +45,7 @@ def plan_rows(mask: np.ndarray, canonical_len: int, channels: int = 1) -> RowPla
         raise ValueError("no edge pixels in ROI")
     return RowPlan(
         shape=(h, w) if channels == 1 else (h, w, channels),
-        mask=np.repeat(mask, channels, axis=1).astype(np.uint8),
+        mask=np.repeat(np.asarray(mask, dtype=bool).view(np.uint8), channels, axis=1),
         valid_rows=valid_rows,
         divisors=channels * counts[valid_rows],
         rows=np.arange(h, dtype=np.float64),

@@ -8,6 +8,11 @@ and a dead border of one blur radius.
 """
 
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import rrvision
 from rrvision.config import CannyConfig
 from rrvision.edges import (
+    CannyScratch,
+    _reflect_border,
     canny,
     dilate,
     gaussian_blur,
@@ -167,6 +175,13 @@ def oracle_canny(img, cfg):
     return oracle_hysteresis(nms, cfg.low, cfg.high)
 
 
+def blocks(h, w, seed):
+    """Noisy 10-pixel blocks of random levels: short edges all over the image."""
+    rng = np.random.default_rng(seed)
+    levels = rng.uniform(0.0, 255.0, size=(h // 10 + 1, w // 10 + 1))
+    return levels.repeat(10, axis=0).repeat(10, axis=1)[:h, :w] + rng.normal(0.0, 2.0, (h, w))
+
+
 def vstep(h, w, col, contrast=255.0):
     img = np.zeros((h, w))
     img[:, col:] = contrast
@@ -279,6 +294,21 @@ class TestCannyAgainstOracle:
             img = img + rng.normal(0, 2.0, size=img.shape)
             assert np.array_equal(canny(img, cfg), oracle_canny(img, cfg))
 
+    def test_high_threshold_on_the_largest_magnitude(self):
+        """One ulp of the largest magnitude NMS keeps decides whether any pixel is strong.
+
+        So the mask pins the magnitude's rounding as sqrt(gx*gx + gy*gy). On
+        x86_64 with numpy 2.4, np.hypot gives that pixel one ulp less.
+        """
+        img, sigma = blocks(24, 24, 9), CannyConfig().sigma
+        r = math.ceil(3 * sigma)
+        gx, gy = oracle_sobel(oracle_blur(img, sigma))
+        top = oracle_nms(np.sqrt(gx * gx + gy * gy), gx, gy)[r:-r, r:-r].max()
+        cfg = CannyConfig(low=top / 2, high=top)
+        mask = canny(img, cfg)
+        assert mask.any()
+        assert np.array_equal(mask, oracle_canny(img, cfg))
+
     def test_vertical_step_is_single_thin_line(self):
         mask = canny(vstep(32, 32, 16), CannyConfig())
         cols = set(np.nonzero(mask)[1])
@@ -317,6 +347,66 @@ class TestCannyAgainstOracle:
     def test_blur_preserves_mean_of_constant(self):
         img = np.full((16, 16), 42.0)
         assert gaussian_blur(img, 1.4) == pytest.approx(img)
+
+
+class TestCannyScratch:
+    def test_reused_across_roi_shapes(self):
+        cfg = CannyConfig()
+        shapes = [(240, 320), (90, 120), (250, 330), (240, 320)]  # shrink, grow past, shrink
+        images = {shape: blocks(*shape, seed) for seed, shape in enumerate(dict.fromkeys(shapes))}
+        oracles = {shape: oracle_canny(img, cfg) for shape, img in images.items()}
+        scratch = CannyScratch()
+        masks = [canny(images[shape], cfg, scratch) for shape in shapes]
+        for shape, mask in zip(shapes, masks):  # later calls did not write into earlier masks
+            assert mask.any()
+            assert np.array_equal(mask, canny(images[shape], cfg))
+            assert np.array_equal(mask, oracles[shape])
+
+    @pytest.mark.parametrize("r", [1, 3, 5, 6])
+    def test_reflect_border_equals_np_pad(self, r):
+        rng = np.random.default_rng(r)
+        side = 2 * r + 1  # the smallest ROI side canny accepts at this radius
+        for h, w in [(side, side), (side, side + 5), (side + 8, side)]:
+            img = rng.normal(0.0, 50.0, size=(h, w))
+            p = np.full((h + 2 * r, w + 2 * r), np.nan)
+            p[r : r + h, r : r + w] = img
+            assert np.array_equal(_reflect_border(p, r), np.pad(img, r, mode="reflect"))
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc malloc, counts Linux faults")
+    def test_warm_call_faults_no_fresh_pages(self):
+        """Minor page faults of warm 240x320 calls on one scratch, in a fresh interpreter.
+
+        Its malloc is pinned, so that the count does not depend on how earlier
+        allocations left the heap: every block of 128 KiB or more is a fresh
+        mapping, and the heap is never trimmed. A float64 plane allocated per
+        call then faults all its 150 pages at every call; the heap's smaller
+        blocks, reused from the earlier calls, fault none.
+        """
+        env = dict(os.environ, GLIBC_TUNABLES=_PINNED_MALLOC, PYTHONPATH=os.pathsep.join(
+            [str(Path(rrvision.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
+                              text=True, check=True)
+        faults = [int(v) for v in proc.stdout.split()]
+        assert len(faults) == 3
+        assert max(faults) < 64, faults
+
+
+_PINNED_MALLOC = "glibc.malloc.mmap_threshold=131072:glibc.malloc.trim_threshold=1073741824"
+# three warm calls on one scratch, each call's minor page faults on a line
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from rrvision.edges import CannyScratch, canny
+rng = np.random.default_rng(0)
+img = rng.uniform(0.0, 255.0, (24, 32)).repeat(10, axis=0).repeat(10, axis=1)
+scratch = CannyScratch()
+for _ in range(2):
+    canny(img, scratch=scratch)
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    canny(img, scratch=scratch)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 class TestHysteresis:

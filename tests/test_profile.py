@@ -122,6 +122,16 @@ class TestEdgesProfile:
             assert np.array_equal(row_means(roi, mask), row_means(before, mask))
             assert np.array_equal(roi, before)
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_plan_mask_is_the_repeated_mask_as_uint8(self, channels):
+        mask = np.random.default_rng(6).random((9, 7)) < 0.4
+        for m in (mask, mask.T, mask[::2, 1:]):  # contiguous and strided
+            plan_mask = plan_rows(m, 5, channels).mask
+            want = np.repeat(m, channels, axis=1).astype(np.uint8)
+            assert plan_mask.dtype == np.uint8 and plan_mask.flags.c_contiguous
+            assert plan_mask.tobytes() == want.tobytes()
+            assert not np.shares_memory(plan_mask, m)
+
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError, match="no edge pixels"):
             plan_rows(np.zeros((4, 4), dtype=bool), 4)
