@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import evaluate, synth
+from .ingest import LANDMARKS_NAME, side_file
 from .pipeline import StageTimings, run_stream
 
 PREDICTION_HEADER = "t_seconds,rr_bpm,group_index,n_peaks,valid"
@@ -86,8 +87,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.dump_config:
         sys.stdout.write(cfgmod.dump_config(cfg))
         return 0
-    # without a rectangle, default to the landmark sidecar synth writes next to the video
-    sidecar = Path(args.video).parent / "landmarks.csv"
+    # without a rectangle, default to the landmark side file synth writes with the recording
+    sidecar = side_file(args.video, LANDMARKS_NAME)
     landmarks = args.landmarks or (sidecar if fixed_roi is None and sidecar.is_file() else None)
 
     # the header goes out with the first row, so a run rejected before it leaves no file
@@ -194,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="stream per-second RR predictions from a recording")
     p_run.add_argument("video", help="raw .rgb24/.gray8 file or PPM/PGM directory")
-    p_run.add_argument("--landmarks", type=Path, help="landmark CSV (default: sibling landmarks.csv)")
+    p_run.add_argument("--landmarks", type=Path, help="landmark CSV (default: landmarks.csv in "
+                       "the image-sequence directory, or beside the raw file, if it exists)")
     p_run.add_argument("--fixed-roi", help="x,y,w,h chest rectangle, instead of landmarks")
     p_run.add_argument("--out", type=Path, help="write predictions CSV here instead of stdout")
     p_run.add_argument("--timing-json", type=Path, help="write stage timing summary JSON")

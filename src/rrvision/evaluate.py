@@ -17,18 +17,18 @@ gets a pass of its own.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .breathing import RRPrediction, group_layout, predict
 from .config import RunConfig, apply_overrides
+from .ingest import GROUND_TRUTH_HEADER, read_step_hold
 from .pipeline import run_recording
 
 SR_BOUND_BPM = 2.0
@@ -59,52 +59,43 @@ class AblationCell:
     error: Optional[str] = None
 
 
+def _ground_truth_row(fields: list[str]) -> tuple[float, float]:
+    t, rr = (float(v) for v in fields)  # a wrong column count or a non-number raises
+    if not (math.isfinite(t) and math.isfinite(rr)):
+        raise ValueError(f"non-finite value in {fields}")
+    return t, rr
+
+
 def load_ground_truth(path) -> list[tuple[float, float]]:
     """Read a t,rr_bpm CSV into a sorted step-hold series."""
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "rr_bpm"]:
-            raise ValueError(f"bad ground-truth header in {path}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                t, rr = (float(v) for v in row)
-            except ValueError:  # wrong column count or a non-number
-                t = rr = math.nan
-            if not (math.isfinite(t) and math.isfinite(rr)):
-                raise ValueError(f"malformed ground-truth row at {path}:{lineno}")
-            rows.append((t, rr))
-    if not rows:
-        raise ValueError(f"empty ground truth {path}")
-    if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
-        raise ValueError(f"ground-truth times must be strictly increasing in {path}")
-    return rows
+    return read_step_hold(path, "ground-truth", GROUND_TRUTH_HEADER, _ground_truth_row)
+
+
+def _step_hold(ground_truth: Sequence[tuple[float, float]]) -> Callable[[float], float]:
+    """reference_at over one series, its time index built once."""
+    times = [g[0] for g in ground_truth]
+
+    def at(t: float) -> float:
+        i = bisect_right(times, t)
+        if i == 0:
+            raise ValueError(f"ground truth does not cover t={t}")
+        return ground_truth[i - 1][1]
+
+    return at
 
 
 def reference_at(ground_truth: Sequence[tuple[float, float]], t: float) -> float:
     """Step-hold lookup: value at the greatest ground-truth time <= t."""
-    times = [g[0] for g in ground_truth]
-    i = bisect_right(times, t)
-    if i == 0:
-        raise ValueError(f"ground truth does not cover t={t}")
-    return ground_truth[i - 1][1]
+    return _step_hold(ground_truth)(t)
 
 
 def prediction_errors(
     predictions: Sequence[RRPrediction], ground_truth: Sequence[tuple[float, float]]
 ) -> tuple[list[float], int]:
     """Absolute errors of the valid predictions, plus the invalid count."""
-    errors = []
-    invalid = 0
-    for p in predictions:
-        if not p.valid:
-            invalid += 1
-            continue
-        errors.append(abs(p.rr_bpm - reference_at(ground_truth, p.t)))
-    return errors, invalid
+    reference = _step_hold(ground_truth)
+    errors = [abs(p.rr_bpm - reference(p.t)) for p in predictions if p.valid]
+    return errors, len(predictions) - len(errors)
 
 
 def metrics_from_errors(errors: Sequence[float], invalid_count: int) -> EvalMetrics:
@@ -165,7 +156,8 @@ def load_dataset_manifest(path) -> list[RecordingSpec]:
         lm = base / e["landmarks_path"] if e.get("landmarks_path") else None
         roi = fixed_roi_from_json(e.get("fixed_roi"), f"recording {e!r} in {path}")
         if (lm is None) == (roi is None):
-            raise ValueError(f"recording {e} needs landmarks_path or fixed_roi, not both")
+            both = ", not both" if lm is not None else ""
+            raise ValueError(f"recording {e} needs landmarks_path or fixed_roi{both}")
         specs.append(RecordingSpec(video, gt, lm, roi))
     return specs
 

@@ -1,6 +1,6 @@
-"""Frame sources: image-sequence and raw-file readers with a JSON manifest.
+"""A recording's files: frame sources, the JSON manifest and the step-hold side files.
 
-Two on-disk layouts are supported, both bit-exact and codec-free:
+Two frame layouts are supported, both bit-exact and codec-free:
 
 * a directory of binary PPM (RGB24) or PGM (GRAY8) files named
   ``frame_%06d.ppm`` / ``frame_%06d.pgm`` together with a ``meta.json``
@@ -11,10 +11,15 @@ Two on-disk layouts are supported, both bit-exact and codec-free:
 
 The manifest is a UTF-8 JSON object with keys exactly
 ``{"width", "height", "fps", "frame_count", "pixel_format"}``.
+
+Side files sit in the sequence directory or beside the raw file (``side_file``).
+``landmarks.csv`` and ``ground_truth.csv`` are step-hold CSVs with one reader
+and one writer; each format adds only its header and row parser.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -23,16 +28,22 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 RGB24 = "RGB24"
 GRAY8 = "GRAY8"
-PIXEL_FORMATS = (RGB24, GRAY8)
+# each pixel format's channels, raw-file suffix and image-sequence frame extension
+_LAYOUTS = {RGB24: (3, ".rgb24", "ppm"), GRAY8: (1, ".gray8", "pgm")}
+PIXEL_FORMATS = tuple(_LAYOUTS)
+_RAW_SUFFIXES = {suffix for _, suffix, _ in _LAYOUTS.values()}
 
 MANIFEST_NAME = "meta.json"
-_FRAME_RE = re.compile(r"^frame_(\d{6})\.(ppm|pgm)$")
+LANDMARKS_NAME = "landmarks.csv"
+GROUND_TRUTH_NAME = "ground_truth.csv"
+GROUND_TRUTH_HEADER = ("t", "rr_bpm")
+_FRAME_RE = re.compile(r"frame_(\d{6})\.\w+")  # a frame's name is VideoMeta.frame_name
 
 # A raw reader releases its consumed pages in batches of at least this many
 # bytes: a madvise per small frame, and the fresh page faults that follow it,
@@ -66,11 +77,24 @@ class VideoMeta:
 
     @property
     def channels(self) -> int:
-        return 3 if self.pixel_format == RGB24 else 1
+        return _LAYOUTS[self.pixel_format][0]
+
+    @property
+    def frame_shape(self) -> tuple[int, ...]:
+        """A decoded frame's shape: (h, w, 3) for RGB24, (h, w) for GRAY8."""
+        return (self.height, self.width, 3) if self.channels == 3 else (self.height, self.width)
 
     @property
     def frame_bytes(self) -> int:
         return self.width * self.height * self.channels
+
+    @property
+    def raw_suffix(self) -> str:
+        return _LAYOUTS[self.pixel_format][1]
+
+    def frame_name(self, index: int) -> str:
+        """File name of one frame of an image sequence."""
+        return f"frame_{index:06d}.{_LAYOUTS[self.pixel_format][2]}"
 
 
 @dataclass
@@ -144,34 +168,32 @@ def read_pnm(path: Path) -> np.ndarray:
     """Read a binary PPM (P6) or PGM (P5); returns uint8 (h,w,3) or (h,w)."""
     with open(path, "rb") as fh:
         magic, width, height = _read_pnm_header(fh)
-        channels = 3 if magic == "P6" else 1
-        payload = fh.read(width * height * channels + 1)
-    if len(payload) != width * height * channels:
+        shape = (height, width, 3) if magic == "P6" else (height, width)
+        payload = fh.read(math.prod(shape) + 1)
+    if len(payload) != math.prod(shape):
         raise ValueError(f"size mismatch in {path.name}")
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    if channels == 3:
-        return arr.reshape(height, width, 3)
-    return arr.reshape(height, width)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
 
 
 def write_pnm(path: Path, data: np.ndarray) -> None:
     """Write uint8 (h,w,3) as PPM or (h,w) as PGM."""
     if data.dtype != np.uint8:
         raise ValueError("PNM writer expects uint8 samples")
-    if data.ndim == 3 and data.shape[2] == 3:
-        magic = b"P6"
-        h, w = data.shape[:2]
-    elif data.ndim == 2:
-        magic = b"P5"
-        h, w = data.shape
-    else:
+    if data.ndim < 2 or data.shape[2:] not in ((), (3,)):
         raise ValueError(f"unsupported sample shape {data.shape}")
+    magic = b"P6" if data.ndim == 3 else b"P5"
     with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n255\n" % (w, h))
+        fh.write(magic + b"\n%d %d\n255\n" % (data.shape[1], data.shape[0]))
         fh.write(data.tobytes())
 
 
 # --- sources ----------------------------------------------------------------
+
+
+def side_file(video_path, name: str) -> Path:
+    """A recording's side file: in the sequence directory, or beside the raw file."""
+    path = Path(video_path)
+    return (path if path.is_dir() else path.parent) / name
 
 
 def open_source(path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
@@ -179,7 +201,8 @@ def open_source(path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
 
     ``path`` may be a directory of PPM/PGM frames plus a manifest, or a raw
     ``.rgb24`` / ``.gray8`` file with a sibling manifest. Frames are yielded
-    in ascending index order and the stream ends exactly at ``frame_count``.
+    in ascending index order and the stream ends exactly at ``frame_count``;
+    each has the manifest's ``frame_shape``.
     The iterator is single-consumer and lazy: it opens no frame data before
     its first ``next()``, so closing it before then opens nothing.
 
@@ -190,20 +213,17 @@ def open_source(path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
     held re-reads them from the page cache when touched.
     """
     path = Path(path)
-    if path.is_dir():
-        return _open_image_dir(path)
-    if path.suffix in (".rgb24", ".gray8"):
-        return _open_raw(path)
-    raise ValueError(f"unsupported source {path} (expected directory or .rgb24/.gray8)")
+    if not (path.is_dir() or path.suffix in _RAW_SUFFIXES):
+        raise ValueError(f"unsupported source {path} (expected directory or .rgb24/.gray8)")
+    meta = load_manifest(side_file(path, MANIFEST_NAME))
+    return meta, (_open_image_dir if path.is_dir() else _open_raw)(path, meta)
 
 
-def _open_image_dir(dirpath: Path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
-    meta = load_manifest(dirpath / MANIFEST_NAME)
-    ext = "ppm" if meta.pixel_format == RGB24 else "pgm"
+def _open_image_dir(dirpath: Path, meta: VideoMeta) -> Iterator[FrameBuffer]:
     indices = sorted(
-        int(m.group(1))
+        int(m[1])
         for p in dirpath.iterdir()
-        if (m := _FRAME_RE.match(p.name)) and m.group(2) == ext
+        if (m := _FRAME_RE.fullmatch(p.name)) and p.name == meta.frame_name(int(m[1]))
     )
     if indices != list(range(meta.frame_count)):
         raise ValueError(
@@ -213,33 +233,25 @@ def _open_image_dir(dirpath: Path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
 
     def frames() -> Iterator[FrameBuffer]:
         for i in range(meta.frame_count):
-            data = read_pnm(dirpath / f"frame_{i:06d}.{ext}")
-            if data.shape[0] != meta.height or data.shape[1] != meta.width:
-                raise ValueError(f"manifest/frame size mismatch at frame {i}")
+            data = read_pnm(dirpath / meta.frame_name(i))
+            if data.shape != meta.frame_shape:
+                raise ValueError(f"manifest/frame size mismatch at frame {i}: {data.shape}")
             yield FrameBuffer(index=i, data=data)
 
-    return meta, frames()
+    return frames()
 
 
-def _open_raw(filepath: Path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
-    meta = load_manifest(filepath.parent / MANIFEST_NAME)
-    expected_fmt = RGB24 if filepath.suffix == ".rgb24" else GRAY8
-    if meta.pixel_format != expected_fmt:
-        raise ValueError(
-            f"manifest pixel_format {meta.pixel_format} does not match {filepath.suffix}"
-        )
+def _open_raw(filepath: Path, meta: VideoMeta) -> Iterator[FrameBuffer]:
+    if meta.raw_suffix != filepath.suffix:
+        raise ValueError(f"manifest pixel_format {meta.pixel_format} "
+                         f"does not match {filepath.suffix}")
     actual = filepath.stat().st_size
     expected = meta.frame_bytes * meta.frame_count
     if actual != expected:
         raise ValueError(f"size mismatch: {filepath.name} has {actual} bytes, expected {expected}")
 
     def frames() -> Iterator[FrameBuffer]:
-        n = meta.frame_bytes
-        shape = (
-            (meta.height, meta.width, 3)
-            if meta.pixel_format == RGB24
-            else (meta.height, meta.width)
-        )
+        n, shape = meta.frame_bytes, meta.frame_shape
         with open(filepath, "rb") as fh:
             fd, mm, released = fh.fileno(), None, 0
             for i in range(meta.frame_count):
@@ -256,7 +268,43 @@ def _open_raw(filepath: Path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
                     mm.madvise(_MADV_DONTNEED, released, done - released)
                     released = done
 
-    return meta, frames()
+    return frames()
+
+
+# --- step-hold side files (landmarks, ground truth) --------------------------
+
+
+def read_step_hold(path, what: str, header: Sequence[str], parse_row: Callable) -> list:
+    """A step-hold CSV's (time, value) rows, checked; blank rows are skipped.
+
+    parse_row(fields) raises ValueError on a bad row, a non-finite value included.
+    """
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)  # a file without even a header is just empty
+        if first is not None and [h.strip() for h in first] != list(header):
+            raise ValueError(f"bad {what} header {first} in {path}")
+        for lineno, fields in enumerate(reader, start=2):
+            if not fields:
+                continue
+            try:
+                rows.append(parse_row(fields))
+            except ValueError as exc:
+                raise ValueError(f"malformed {what} row at {path}:{lineno}") from exc
+    if not rows:
+        raise ValueError(f"empty {what} file {path}")
+    if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
+        raise ValueError(f"{what} {header[0]} must be strictly increasing in {path}")
+    return rows
+
+
+def write_step_hold(path, header: Sequence[str], rows) -> None:
+    """Write a CSV that read_step_hold reads back: the header, then one line per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def to_grayscale(pixels: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ Without one, the loop reads no clock.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -34,13 +35,13 @@ from .window import MotionBuffer
 
 @dataclass
 class StageTimings:
-    """Wall times in seconds: one entry per whole frame, one per window analysis."""
+    """Wall times in seconds, 8 bytes each: one per whole frame, one per window analysis."""
 
-    analysis: list[float] = field(default_factory=list)
-    frame_total: list[float] = field(default_factory=list)
+    analysis: array = field(default_factory=lambda: array("d"))
+    frame_total: array = field(default_factory=lambda: array("d"))
 
     @staticmethod
-    def _stats(samples: list[float]) -> dict:
+    def _stats(samples: array) -> dict:
         if not samples:
             return {"n": 0, "p50_ms": None, "p99_ms": None, "max_ms": None}
         arr = np.asarray(samples) * 1000.0
@@ -74,7 +75,8 @@ def run_stream(
     meta, frames = open_source(video_path)
 
     if (fixed_roi is None) == (landmarks_path is None):
-        raise ValueError("need either fixed_roi or a landmark file, not both")
+        both = ", not both" if fixed_roi is not None else ""
+        raise ValueError(f"need fixed_roi or a landmark file{both}")
     track: Optional[LandmarkTrack] = None
     if fixed_roi is None:
         track = load_landmark_track(landmarks_path)

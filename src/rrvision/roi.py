@@ -7,14 +7,12 @@ relative to the ear-to-ear face width by three geometry constants.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 
 from .config import MIN_ROI_SIDE, RoiGeometryConfig
-from .ingest import VideoMeta
+from .ingest import VideoMeta, read_step_hold, write_step_hold
 
 LANDMARK_HEADER = ["frame", "chin_x", "chin_y", "lear_x", "lear_y", "rear_x", "rear_y"]
 
@@ -85,16 +83,11 @@ def roi_from_landmarks(
 
 
 class LandmarkTrack:
-    """Time-indexed landmark records with step-hold lookup."""
+    """Step-hold lookup over landmark records, non-empty and strictly increasing in frame."""
 
     def __init__(self, records: list[LandmarkSet]):
-        if not records:
-            raise ValueError("empty landmark track")
-        frames = [r.frame_index for r in records]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValueError("landmark frames must be strictly increasing")
         self._records = records
-        self._frames = frames
+        self._frames = [r.frame_index for r in records]
 
     def lookup(self, frame_index: int) -> LandmarkSet:
         """Record with the greatest frame <= frame_index."""
@@ -104,51 +97,18 @@ class LandmarkTrack:
         return self._records[i - 1]
 
 
+def _landmark_row(fields: list[str]) -> tuple[int, LandmarkSet]:
+    frame = int(fields[0])
+    cx, cy, lx, ly, rx, ry = map(float, fields[1:])  # a wrong field count raises
+    return frame, LandmarkSet(frame, (cx, cy), (lx, ly), (rx, ry))  # so does a non-finite value
+
+
 def load_landmark_track(path) -> LandmarkTrack:
     """Load a landmark CSV (header: frame,chin_x,chin_y,lear_x,lear_y,rear_x,rear_y)."""
-    path = Path(path)
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"empty landmark file {path}")
-        if [h.strip() for h in header] != LANDMARK_HEADER:
-            raise ValueError(f"bad landmark header {header} in {path}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise ValueError(f"malformed landmark row at {path}:{lineno}")
-            try:
-                frame = int(row[0])
-                vals = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise ValueError(f"malformed landmark row at {path}:{lineno}") from exc
-            records.append(
-                LandmarkSet(
-                    frame_index=frame,
-                    chin=(vals[0], vals[1]),
-                    left_ear=(vals[2], vals[3]),
-                    right_ear=(vals[4], vals[5]),
-                )
-            )
-    return LandmarkTrack(records)
+    rows = read_step_hold(path, "landmark", LANDMARK_HEADER, _landmark_row)
+    return LandmarkTrack([lm for _, lm in rows])
 
 
 def write_landmark_track(path, records: list[LandmarkSet]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LANDMARK_HEADER)
-        for r in records:
-            writer.writerow(
-                [
-                    r.frame_index,
-                    r.chin[0],
-                    r.chin[1],
-                    r.left_ear[0],
-                    r.left_ear[1],
-                    r.right_ear[0],
-                    r.right_ear[1],
-                ]
-            )
+    write_step_hold(path, LANDMARK_HEADER,
+                    ([r.frame_index, *r.chin, *r.left_ear, *r.right_ear] for r in records))

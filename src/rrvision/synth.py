@@ -26,7 +26,6 @@ sequence plus ``meta.json``) together with ``ground_truth.csv``
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import BreathingConfig, RoiGeometryConfig
-from .ingest import MANIFEST_NAME, PIXEL_FORMATS, RGB24, VideoMeta, write_manifest, write_pnm
+from .ingest import (GROUND_TRUTH_HEADER, GROUND_TRUTH_NAME, LANDMARKS_NAME, MANIFEST_NAME,
+                     PIXEL_FORMATS, RGB24, VideoMeta, write_manifest, write_pnm, write_step_hold)
 from .roi import LandmarkSet, RoiRect, roi_from_landmarks, write_landmark_track
 
 RR_FLOOR, RR_CEIL = BreathingConfig.rr_min, BreathingConfig.rr_max
@@ -258,37 +258,24 @@ def generate(cfg: SynthConfig, out_path) -> SynthDataset:
     write_manifest(out_dir / MANIFEST_NAME, meta)
 
     if cfg.container == "raw":
-        ext = ".rgb24" if cfg.pixel_format == RGB24 else ".gray8"
-        video_path = out_dir / f"video{ext}"
+        video_path = out_dir / f"video{meta.raw_suffix}"
         with open(video_path, "wb") as fh:
             for i in range(cfg.frame_count):
                 fh.write(scene.render_quantized(i).tobytes())
     else:
         video_path = out_dir
-        frame_ext = "ppm" if cfg.pixel_format == RGB24 else "pgm"
         for i in range(cfg.frame_count):
-            write_pnm(out_dir / f"frame_{i:06d}.{frame_ext}", scene.render_quantized(i))
+            write_pnm(out_dir / meta.frame_name(i), scene.render_quantized(i))
 
-    gt_path = out_dir / "ground_truth.csv"
-    with open(gt_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "rr_bpm"])
-        for start, rr in cfg.rr_segments:
-            writer.writerow([start, rr])
+    gt_path = out_dir / GROUND_TRUTH_NAME
+    write_step_hold(gt_path, GROUND_TRUTH_HEADER, cfg.rr_segments)
 
-    lm_path = out_dir / "landmarks.csv"
+    lm_path = out_dir / LANDMARKS_NAME
     records = [scene.geom.landmarks]
     if scene.jump_frame is not None and 0 < scene.jump_frame < cfg.frame_count:
-        lm0 = scene.geom.landmarks
-        dy = float(_JUMP_DY_PX)
-        records.append(
-            LandmarkSet(
-                frame_index=scene.jump_frame,
-                chin=(lm0.chin[0], lm0.chin[1] + dy),
-                left_ear=(lm0.left_ear[0], lm0.left_ear[1] + dy),
-                right_ear=(lm0.right_ear[0], lm0.right_ear[1] + dy),
-            )
-        )
+        lm0 = scene.geom.landmarks  # the jump moves every landmark down with the content
+        shifted = ((x, y + _JUMP_DY_PX) for x, y in (lm0.chin, lm0.left_ear, lm0.right_ear))
+        records.append(LandmarkSet(scene.jump_frame, *shifted))
     write_landmark_track(lm_path, records)
 
     return SynthDataset(

@@ -36,6 +36,18 @@ class TestRun:
         assert code == 0
         assert len(out.strip().splitlines()) == 42
 
+    def test_image_sequence_landmarks_default_to_its_directory(self, capsys, tmp_path):
+        # synth writes a sequence's side files into the sequence directory itself
+        ds = make_recording(tmp_path / "seq", duration_s=22.0, container="images")
+        defaulted, given = tmp_path / "default.csv", tmp_path / "given.csv"
+        assert run_cli(capsys, "run", ds.video_path, "--out", defaulted)[0] == 0
+        code, _, _ = run_cli(capsys, "run", ds.video_path,
+                             "--landmarks", ds.video_path / "landmarks.csv", "--out", given)
+        assert code == 0
+        assert defaulted.read_bytes() == given.read_bytes()
+        ts = [row.split(",")[0] for row in defaulted.read_text().splitlines()[1:]]
+        assert ts == ["20.000", "21.000", "22.000"]
+
     def test_short_video_warns(self, capsys, tmp_path):
         ds = make_recording(tmp_path / "short", duration_s=10.0)
         code, out, err = run_cli(capsys, "run", ds.video_path, "--landmarks", ds.landmarks_path)

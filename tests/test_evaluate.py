@@ -112,7 +112,7 @@ class TestGroundTruthFile:
     def test_rejects_empty(self, tmp_path):
         p = tmp_path / "gt.csv"
         p.write_text("t,rr_bpm\n")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="^empty ground-truth file "):
             load_ground_truth(p)
 
     def test_rejects_one_column_row(self, tmp_path):
@@ -165,6 +165,13 @@ class TestManifestAndAblation:
             tmp_path / "m.json", [{"video_path": "v.gray8", "ground_truth_path": "gt.csv"}]
         )
         with pytest.raises(ValueError, match="landmarks_path or fixed_roi"):
+            load_dataset_manifest(p)
+
+    def test_manifest_without_roi_source_says_so(self, tmp_path):
+        p = write_manifest(
+            tmp_path / "m.json", [{"video_path": "v.gray8", "ground_truth_path": "gt.csv"}]
+        )
+        with pytest.raises(ValueError, match="needs landmarks_path or fixed_roi$"):
             load_dataset_manifest(p)
 
     def test_manifest_rejects_two_roi_sources(self, tmp_path):

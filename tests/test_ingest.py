@@ -12,6 +12,7 @@ from rrvision.ingest import (
     load_manifest,
     open_source,
     read_pnm,
+    side_file,
     to_grayscale,
     write_manifest,
     write_pnm,
@@ -131,6 +132,20 @@ class TestOpenSource:
         with pytest.raises(ValueError, match="size mismatch"):
             list(stream)
 
+    @pytest.mark.parametrize("fmt, ext, channels", [("GRAY8", "pgm", 3), ("RGB24", "ppm", 1)])
+    def test_frame_of_the_other_pixel_format_is_rejected(self, tmp_path, fmt, ext, channels):
+        # as wide and high as the manifest says, but P6 among .pgm frames or P5 among .ppm
+        _write_manifest(None, tmp_path, pixel_format=fmt, frame_count=3)
+        meta = load_manifest(tmp_path / "meta.json")
+        odd = (24, 32, 3) if channels == 3 else (24, 32)
+        for i in range(3):
+            write_pnm(tmp_path / f"frame_{i:06d}.{ext}",
+                      np.zeros(odd if i == 1 else meta.frame_shape, dtype=np.uint8))
+        _, stream = open_source(tmp_path)
+        assert next(stream).data.shape == meta.frame_shape
+        with pytest.raises(ValueError, match="size mismatch at frame 1"):
+            next(stream)
+
     def test_raw_size_mismatch(self, tmp_path):
         _write_manifest(None, tmp_path, pixel_format="RGB24", frame_count=3)
         (tmp_path / "v.rgb24").write_bytes(b"\0" * (32 * 24 * 3 * 3 - 1))
@@ -215,6 +230,19 @@ class TestOpenSource:
         meta, stream = open_source(tmp_path / "v.gray8")
         assert meta.frame_count == 1800
         assert sum(1 for _ in stream) == 1800
+
+
+class TestSideFile:
+    def test_in_the_sequence_directory_or_beside_the_raw_file(self, tmp_path):
+        (tmp_path / "seq").mkdir()
+        assert side_file(tmp_path / "seq", "landmarks.csv") == tmp_path / "seq/landmarks.csv"
+        assert side_file(tmp_path / "v.gray8", "meta.json") == tmp_path / "meta.json"
+
+    @pytest.mark.parametrize("container", ["raw", "images"])
+    def test_synth_writes_its_side_files_there(self, tmp_path, container):
+        ds = make_recording(tmp_path / "rec", duration_s=0.2, container=container)
+        assert side_file(ds.video_path, "landmarks.csv") == ds.landmarks_path
+        assert side_file(ds.video_path, "ground_truth.csv") == ds.ground_truth_path
 
 
 def _vm_rss_bytes() -> int:

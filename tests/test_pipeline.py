@@ -5,6 +5,7 @@ import pytest
 
 from rrvision import pipeline
 from rrvision.config import RunConfig
+from rrvision.ingest import read_pnm, write_pnm
 from rrvision.pipeline import StageTimings, run_recording, run_stream
 
 from conftest import make_recording
@@ -49,6 +50,26 @@ class TestRunStream:
         with pytest.raises(ValueError, match="fixed_roi or a landmark"):
             run_recording(cadence_recording.video_path, RunConfig())
 
+    def test_missing_roi_source_says_neither(self, cadence_recording):
+        with pytest.raises(ValueError, match="^need fixed_roi or a landmark file$"):
+            run_recording(cadence_recording.video_path, RunConfig())
+
+    def test_frame_of_another_pixel_format_fails_at_the_reader(self, tmp_path, monkeypatch):
+        # a P6 file named .pgm, as wide and high as its GRAY8 sequence
+        ds = make_recording(tmp_path / "seq", duration_s=1.0, container="images")
+        frame = ds.video_path / "frame_000005.pgm"
+        write_pnm(frame, np.repeat(read_pnm(frame)[:, :, None], 3, axis=2))
+        shapes, extract = [], pipeline.extract_profile
+
+        def recording_extract(pixels, plan):
+            shapes.append(pixels.shape)
+            return extract(pixels, plan)
+
+        monkeypatch.setattr(pipeline, "extract_profile", recording_extract)
+        with pytest.raises(ValueError, match="size mismatch at frame 5"):
+            run_recording(ds.video_path, RunConfig(), landmarks_path=ds.landmarks_path)
+        assert len(shapes) == 5 and all(len(s) == 2 for s in shapes)
+
     def test_two_roi_sources_rejected(self, cadence_recording):
         # neither source is dropped in silence, not even a landmark file that exists
         with pytest.raises(ValueError, match="not both"):
@@ -73,6 +94,17 @@ class TestRunStream:
         s = timings.summary()
         assert s["frame_total"]["p99_ms"] > 0
         assert s["window_analysis"]["p50_ms"] > 0
+
+    def test_timings_take_eight_bytes_per_entry(self, tmp_path):
+        ds = make_recording(tmp_path / "t", duration_s=21.0)
+        t = StageTimings()
+        list(run_stream(ds.video_path, RunConfig(), landmarks_path=ds.landmarks_path, timings=t))
+        assert len(t.frame_total) == 630 and len(t.analysis) == 2
+        assert memoryview(t.frame_total).nbytes == 8 * len(t.frame_total)
+        assert memoryview(t.analysis).nbytes == 8 * len(t.analysis)
+        # the summary sees the same float64 values a list of floats would give it
+        as_lists = StageTimings(analysis=list(t.analysis), frame_total=list(t.frame_total))
+        assert as_lists.summary() == t.summary()
 
     def test_clock_is_read_only_when_timing(self, tmp_path, monkeypatch):
         ds = make_recording(tmp_path / "clip", duration_s=1.0)

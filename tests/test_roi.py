@@ -106,7 +106,7 @@ class TestLandmarkTrack:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "lm.csv"
         p.write_text("")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="^empty landmark file "):
             load_landmark_track(p)
 
     def test_unsorted_frames(self, tmp_path):
@@ -119,6 +119,19 @@ class TestLandmarkTrack:
         p = tmp_path / "lm.csv"
         p.write_text("frame,chin_x,chin_y,lear_x,lear_y,rear_x,rear_y\n1,2,3\n")
         with pytest.raises(ValueError, match="malformed"):
+            load_landmark_track(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_reports_its_line(self, tmp_path, value):
+        p = tmp_path / "lm.csv"
+        _write_csv(p, [(0, 100, 100, 80, 90, 120, 90), (9, 100, value, 80, 90, 120, 90)])
+        with pytest.raises(ValueError, match=r"^malformed landmark row at .*lm\.csv:3$"):
+            load_landmark_track(p)
+
+    def test_blank_rows_count_as_lines(self, tmp_path):
+        p = tmp_path / "lm.csv"
+        p.write_text("frame,chin_x,chin_y,lear_x,lear_y,rear_x,rear_y\n0,1,1,0,0,5,0\n\nx,1,1,0,0,5,0\n")
+        with pytest.raises(ValueError, match=r"^malformed landmark row at .*lm\.csv:4$"):
             load_landmark_track(p)
 
     def test_write_read_round_trip(self, tmp_path):

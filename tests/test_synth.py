@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rrvision.config import RunConfig
-from rrvision.ingest import open_source
+from rrvision.evaluate import load_ground_truth
+from rrvision.ingest import GROUND_TRUTH_HEADER, open_source, write_step_hold
 from rrvision.pipeline import run_recording
 from rrvision.roi import load_landmark_track, roi_from_landmarks
 from rrvision.synth import SynthConfig, _Scene, generate, scene_geometry
@@ -69,6 +70,14 @@ class TestGenerate:
         with open(ds.ground_truth_path) as fh:
             rows = list(csv.reader(fh))[1:]
         assert rows == [["0.0", "15.0"], ["30.0", "20.0"]]
+
+    def test_ground_truth_is_written_by_the_shared_writer(self, tmp_path):
+        segments = [(0.0, 12.0), (1.0, 20.5), (1.5, 18)]
+        ds = make_recording(tmp_path / "rec", duration_s=2.0, rr_segments=segments)
+        want = tmp_path / "want.csv"
+        write_step_hold(want, GROUND_TRUTH_HEADER, segments)
+        assert ds.ground_truth_path.read_bytes() == want.read_bytes()
+        assert load_ground_truth(ds.ground_truth_path) == [(0.0, 12.0), (1.0, 20.5), (1.5, 18.0)]
 
     def test_determinism_bit_identical(self, tmp_path):
         a = make_recording(tmp_path / "a", duration_s=1.0, texture_seed=3)
