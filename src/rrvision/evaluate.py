@@ -19,16 +19,15 @@ from __future__ import annotations
 import copy
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .breathing import RRPrediction, group_layout, predict
 from .config import RunConfig, apply_overrides
-from .ingest import GROUND_TRUTH_HEADER, read_step_hold
+from .ingest import GROUND_TRUTH_HEADER, read_step_hold, step_hold
 from .pipeline import run_recording
 
 SR_BOUND_BPM = 2.0
@@ -71,29 +70,11 @@ def load_ground_truth(path) -> list[tuple[float, float]]:
     return read_step_hold(path, "ground-truth", GROUND_TRUTH_HEADER, _ground_truth_row)
 
 
-def _step_hold(ground_truth: Sequence[tuple[float, float]]) -> Callable[[float], float]:
-    """reference_at over one series, its time index built once."""
-    times = [g[0] for g in ground_truth]
-
-    def at(t: float) -> float:
-        i = bisect_right(times, t)
-        if i == 0:
-            raise ValueError(f"ground truth does not cover t={t}")
-        return ground_truth[i - 1][1]
-
-    return at
-
-
-def reference_at(ground_truth: Sequence[tuple[float, float]], t: float) -> float:
-    """Step-hold lookup: value at the greatest ground-truth time <= t."""
-    return _step_hold(ground_truth)(t)
-
-
 def prediction_errors(
     predictions: Sequence[RRPrediction], ground_truth: Sequence[tuple[float, float]]
 ) -> tuple[list[float], int]:
     """Absolute errors of the valid predictions, plus the invalid count."""
-    reference = _step_hold(ground_truth)
+    reference = step_hold(ground_truth, "ground truth")
     errors = [abs(p.rr_bpm - reference(p.t)) for p in predictions if p.valid]
     return errors, len(predictions) - len(errors)
 
@@ -144,12 +125,15 @@ def load_dataset_manifest(path) -> list[RecordingSpec]:
     base = path.parent
     specs = []
     for e in entries:
+        # an empty path would resolve to the manifest's own directory
         if not isinstance(e, dict) or not all(
-            isinstance(e.get(k), str) for k in ("video_path", "ground_truth_path")
-        ) or not isinstance(e.get("landmarks_path"), (str, type(None))):
+            isinstance(e.get(k), str) and e[k] != ""
+            for k in ("video_path", "ground_truth_path", "landmarks_path")
+            if k != "landmarks_path" or e.get(k) is not None
+        ):
             raise ValueError(
                 f"recording {e!r} in {path} must be an object with string video_path and "
-                "ground_truth_path, and a string landmarks_path if any"
+                "ground_truth_path, and a string landmarks_path if any, none of them empty"
             )
         video = base / e["video_path"]
         gt = base / e["ground_truth_path"]

@@ -12,9 +12,14 @@ Two frame layouts are supported, both bit-exact and codec-free:
 The manifest is a UTF-8 JSON object with keys exactly
 ``{"width", "height", "fps", "frame_count", "pixel_format"}``.
 
+A PNM header is ``P5`` or ``P6``, then width, height and maxval, each after
+whitespace and ``#`` comments (to the end of the line), then one whitespace byte.
+A comment glued to a digit is rejected; every header error names the file.
+
 Side files sit in the sequence directory or beside the raw file (``side_file``).
-``landmarks.csv`` and ``ground_truth.csv`` are step-hold CSVs with one reader
-and one writer; each format adds only its header and row parser.
+``landmarks.csv`` and ``ground_truth.csv`` are step-hold CSVs with one reader,
+one writer and one lookup (``step_hold``); each format adds only its header
+and row parser.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ import math
 import mmap
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +49,7 @@ MANIFEST_NAME = "meta.json"
 LANDMARKS_NAME = "landmarks.csv"
 GROUND_TRUTH_NAME = "ground_truth.csv"
 GROUND_TRUTH_HEADER = ("t", "rr_bpm")
-_FRAME_RE = re.compile(r"frame_(\d{6})\.\w+")  # a frame's name is VideoMeta.frame_name
+_FRAME_RE = re.compile(r"frame_(\d{6,})\.\w+")  # a frame's name is VideoMeta.frame_name
 
 # A raw reader releases its consumed pages in batches of at least this many
 # bytes: a madvise per small frame, and the fresh page faults that follow it,
@@ -133,46 +139,23 @@ def write_manifest(path: Path, meta: VideoMeta) -> None:
 
 # --- PPM / PGM (binary, maxval 255) ---------------------------------------
 
-
-def _read_pnm_header(fh) -> tuple[str, int, int]:
-    """Parse magic / width / height / maxval, tolerating comments."""
-    magic = fh.read(2)
-    if magic not in (b"P5", b"P6"):
-        raise ValueError(f"not a binary PGM/PPM file (magic {magic!r})")
-
-    def next_token() -> bytes:
-        tok = b""
-        while True:
-            c = fh.read(1)
-            if c == b"":
-                raise ValueError("truncated PNM header")
-            if c == b"#":  # comment runs to end of line
-                while c not in (b"\n", b""):
-                    c = fh.read(1)
-                continue
-            if c.isspace():
-                if tok:
-                    return tok
-                continue
-            tok += c
-
-    width = int(next_token())
-    height = int(next_token())
-    maxval = int(next_token())
-    if maxval != 255:
-        raise ValueError(f"only maxval 255 is supported, got {maxval}")
-    return magic.decode(), width, height
+_PNM_HEADER_RE = re.compile(
+    rb"(P[56])(?:\s|#[^\n]*\n)*(\d+)" + rb"\s(?:\s|#[^\n]*\n)*(\d+)" * 2 + rb"\s")
 
 
 def read_pnm(path: Path) -> np.ndarray:
     """Read a binary PPM (P6) or PGM (P5); returns uint8 (h,w,3) or (h,w)."""
-    with open(path, "rb") as fh:
-        magic, width, height = _read_pnm_header(fh)
-        shape = (height, width, 3) if magic == "P6" else (height, width)
-        payload = fh.read(math.prod(shape) + 1)
-    if len(payload) != math.prod(shape):
+    raw = path.read_bytes()
+    header = _PNM_HEADER_RE.match(raw)
+    if header is None:
+        raise ValueError(f"malformed PNM header in {path.name}")
+    width, height, maxval = map(int, header.groups()[1:])
+    if maxval != 255:
+        raise ValueError(f"only maxval 255 is supported, got {maxval} in {path.name}")
+    shape = (height, width, 3) if header[1] == b"P6" else (height, width)
+    if len(raw) - header.end() != math.prod(shape):
         raise ValueError(f"size mismatch in {path.name}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+    return np.frombuffer(raw, np.uint8, offset=header.end()).reshape(shape)
 
 
 def write_pnm(path: Path, data: np.ndarray) -> None:
@@ -219,12 +202,14 @@ def open_source(path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
     return meta, (_open_image_dir if path.is_dir() else _open_raw)(path, meta)
 
 
+def _frame_index(name: str, meta: VideoMeta) -> Optional[int]:
+    """The index of the frame a file of meta's sequence holds, or None for any other file."""
+    m = _FRAME_RE.fullmatch(name)
+    return int(m[1]) if m and name == meta.frame_name(int(m[1])) else None
+
+
 def _open_image_dir(dirpath: Path, meta: VideoMeta) -> Iterator[FrameBuffer]:
-    indices = sorted(
-        int(m[1])
-        for p in dirpath.iterdir()
-        if (m := _FRAME_RE.fullmatch(p.name)) and p.name == meta.frame_name(int(m[1]))
-    )
+    indices = sorted(i for p in dirpath.iterdir() if (i := _frame_index(p.name, meta)) is not None)
     if indices != list(range(meta.frame_count)):
         raise ValueError(
             f"non-contiguous frame indices in {dirpath}: "
@@ -297,6 +282,19 @@ def read_step_hold(path, what: str, header: Sequence[str], parse_row: Callable) 
     if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
         raise ValueError(f"{what} {header[0]} must be strictly increasing in {path}")
     return rows
+
+
+def step_hold(rows: Sequence[tuple], what: str) -> Callable:
+    """read_step_hold's rows as a lookup: a key's value is that of the last row at or before it."""
+    keys = [row[0] for row in rows]
+
+    def at(key):
+        i = bisect_right(keys, key)
+        if i == 0:
+            raise ValueError(f"no {what} at or before {key}")
+        return rows[i - 1][1]
+
+    return at
 
 
 def write_step_hold(path, header: Sequence[str], rows) -> None:

@@ -29,7 +29,7 @@ from .config import RunConfig
 from .edges import CannyScratch, canny, dilate
 from .ingest import open_source, to_grayscale
 from .profile import extract_profile, plan_rows
-from .roi import LandmarkTrack, RoiRect, load_landmark_track, roi_from_landmarks
+from .roi import RoiRect, load_landmark_track, roi_from_landmarks
 from .window import MotionBuffer
 
 
@@ -77,9 +77,7 @@ def run_stream(
     if (fixed_roi is None) == (landmarks_path is None):
         both = ", not both" if fixed_roi is not None else ""
         raise ValueError(f"need fixed_roi or a landmark file{both}")
-    track: Optional[LandmarkTrack] = None
-    if fixed_roi is None:
-        track = load_landmark_track(landmarks_path)
+    landmarks_at = load_landmark_track(landmarks_path) if fixed_roi is None else None
 
     buffer = MotionBuffer(cfg.canonical_len, meta.fps, cfg.schedule)
     scratch = CannyScratch()  # Canny's planes, reused at every epoch start
@@ -95,7 +93,7 @@ def run_stream(
             if fixed_roi is not None:
                 roi_rect = RoiRect(*fixed_roi).clamped(meta)
             else:
-                roi_rect = roi_from_landmarks(track.lookup(frame.index), meta, cfg.geometry)
+                roi_rect = roi_from_landmarks(landmarks_at(frame.index), meta, cfg.geometry)
         pixels = roi_rect.crop(frame.data)
         if epoch_start:
             if cfg.profile_mode == "edges":

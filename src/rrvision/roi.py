@@ -8,11 +8,11 @@ relative to the ear-to-ear face width by three geometry constants.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 from .config import MIN_ROI_SIDE, RoiGeometryConfig
-from .ingest import VideoMeta, read_step_hold, write_step_hold
+from .ingest import VideoMeta, read_step_hold, step_hold, write_step_hold
 
 LANDMARK_HEADER = ["frame", "chin_x", "chin_y", "lear_x", "lear_y", "rear_x", "rear_y"]
 
@@ -82,31 +82,15 @@ def roi_from_landmarks(
     return RoiRect(xi0, yi0, xi1 - xi0, yi1 - yi0).clamped(meta)
 
 
-class LandmarkTrack:
-    """Step-hold lookup over landmark records, non-empty and strictly increasing in frame."""
-
-    def __init__(self, records: list[LandmarkSet]):
-        self._records = records
-        self._frames = [r.frame_index for r in records]
-
-    def lookup(self, frame_index: int) -> LandmarkSet:
-        """Record with the greatest frame <= frame_index."""
-        i = bisect_right(self._frames, frame_index)
-        if i == 0:
-            raise ValueError(f"no landmarks yet at frame {frame_index}")
-        return self._records[i - 1]
-
-
 def _landmark_row(fields: list[str]) -> tuple[int, LandmarkSet]:
     frame = int(fields[0])
     cx, cy, lx, ly, rx, ry = map(float, fields[1:])  # a wrong field count raises
     return frame, LandmarkSet(frame, (cx, cy), (lx, ly), (rx, ry))  # so does a non-finite value
 
 
-def load_landmark_track(path) -> LandmarkTrack:
-    """Load a landmark CSV (header: frame,chin_x,chin_y,lear_x,lear_y,rear_x,rear_y)."""
-    rows = read_step_hold(path, "landmark", LANDMARK_HEADER, _landmark_row)
-    return LandmarkTrack([lm for _, lm in rows])
+def load_landmark_track(path) -> Callable[[int], LandmarkSet]:
+    """Read a landmark CSV (header: LANDMARK_HEADER) into a frame index -> LandmarkSet step_hold."""
+    return step_hold(read_step_hold(path, "landmark", LANDMARK_HEADER, _landmark_row), "landmarks")
 
 
 def write_landmark_track(path, records: list[LandmarkSet]) -> None:

@@ -13,11 +13,11 @@ from rrvision.evaluate import (
     metrics_from_errors,
     prediction_errors,
     RecordingSpec,
-    reference_at,
     run_cell,
     score,
     format_table,
 )
+from rrvision.ingest import step_hold
 from rrvision.pipeline import run_recording
 
 from conftest import make_recording
@@ -64,15 +64,15 @@ class TestScore:
         assert (m.n, m.invalid_count) == (0, 1)
 
     def test_uncovered_time_rejected(self):
-        with pytest.raises(ValueError, match="cover"):
+        with pytest.raises(ValueError, match=r"^no ground truth at or before 1\.0$"):
             score([pred(1.0, 15.0)], [(5.0, 15.0)])
 
     def test_step_hold_reference(self):
-        gt = [(0.0, 12.0), (10.0, 18.0), (30.0, 24.0)]
-        assert reference_at(gt, 9.999) == 12.0
-        assert reference_at(gt, 10.0) == 18.0
-        assert reference_at(gt, 29.0) == 18.0
-        assert reference_at(gt, 1000.0) == 24.0
+        reference = step_hold([(0.0, 12.0), (10.0, 18.0), (30.0, 24.0)], "ground truth")
+        assert reference(9.999) == 12.0
+        assert reference(10.0) == 18.0
+        assert reference(29.0) == 18.0
+        assert reference(1000.0) == 24.0
 
     def test_permutation_invariant_and_matches_brute_force_1000_instances(self):
         rng = np.random.default_rng(0)
@@ -195,6 +195,17 @@ class TestManifestAndAblation:
         with pytest.raises(ValueError, match="must be an object with string video_path"):
             load_dataset_manifest(p)
 
+    @pytest.mark.parametrize("key", ["video_path", "ground_truth_path", "landmarks_path"])
+    def test_empty_path_rejected_at_load(self, tmp_path, key):
+        # "" would resolve to the manifest's own directory, and an empty
+        # landmarks_path beside a fixed_roi would be ignored
+        entry = {"video_path": "v.gray8", "ground_truth_path": "gt.csv", key: ""}
+        if key == "landmarks_path":
+            entry["fixed_roi"] = [40, 50, 80, 60]
+        p = write_manifest(tmp_path / "m.json", [entry])
+        with pytest.raises(ValueError, match=r"must be an object with .*, none of them empty$"):
+            load_dataset_manifest(p)
+
     @pytest.mark.parametrize(
         "roi", [[1, 2], 5, [1, 2, 3, 4, 5], [40, 50, 80.5, 60], "40,50,80,60"],
         ids=["two_values", "scalar", "five_values", "float_value", "string"],
@@ -247,8 +258,8 @@ class TestManifestAndAblation:
         errors = []
         for spec in specs:
             preds = run_recording(spec.video_path, RunConfig(), landmarks_path=spec.landmarks_path)
-            gt = load_ground_truth(spec.ground_truth_path)
-            errors += [abs(p.rr_bpm - reference_at(gt, p.t)) for p in preds if p.valid]
+            reference = step_hold(load_ground_truth(spec.ground_truth_path), "ground truth")
+            errors += [abs(p.rr_bpm - reference(p.t)) for p in preds if p.valid]
         want = metrics_from_errors(errors, 0)
         assert cell.metrics == want
 

@@ -11,6 +11,7 @@ from rrvision.ingest import (
     VideoMeta,
     load_manifest,
     open_source,
+    _frame_index,
     read_pnm,
     side_file,
     to_grayscale,
@@ -100,6 +101,36 @@ class TestPnm:
         with pytest.raises(ValueError, match="size mismatch"):
             read_pnm(path)
 
+    @pytest.mark.parametrize("header, channels", [
+        (b"P5#magic\n4\n# width\n4\n#height\n255\n", 1),
+        (b"P5\t4\t4\t255\t", 1),
+        (b"P5\r4\r4\r255\n", 1),
+        (b"P5\r\n4\r\n4\r\n255\n", 1),
+        (b"P5\n# Created by GIMP version 2.10.34 PNM plug-in\n4 4\n255\n", 1),
+        (b"P5 4 4 255\r", 1),
+        (b"P6\n4 4\n255\n", 3),
+    ], ids=["comments_before_each_token", "tabs", "cr", "crlf", "gimp", "cr_before_raster", "p6"])
+    def test_header_grammar_decodes_bit_exactly(self, tmp_path, header, channels):
+        path = tmp_path / "f.pnm"
+        payload = bytes(range(16 * channels))
+        path.write_bytes(header + payload)
+        data = read_pnm(path)
+        assert data.shape == ((4, 4, 3) if channels == 3 else (4, 4))
+        assert data.tobytes() == payload
+
+    @pytest.mark.parametrize("content, message", [
+        (b"P5\n160", "malformed PNM header"),
+        (b"P5\nfour 4\n255\n" + bytes(16), "malformed PNM header"),
+        (b"P7\n4 4\n255\n" + bytes(16), "malformed PNM header"),
+        (b"P5\n4 4\n65535\n" + bytes(32), "only maxval 255 is supported, got 65535"),
+        (b"P5\n4#glued\n4\n255\n" + bytes(16), "malformed PNM header"),
+    ], ids=["truncated", "non_numeric", "magic_p7", "maxval_65535", "comment_glued_to_digit"])
+    def test_malformed_header_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "frame_000002.pgm"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=rf"^{message} in frame_000002\.pgm$"):
+            read_pnm(path)
+
 
 class TestOpenSource:
     def _make_dir_source(self, tmp_path, n=3, w=32, h=24):
@@ -118,6 +149,22 @@ class TestOpenSource:
         assert [f.index for f in decoded] == [0, 1, 2]
         for got, want in zip(decoded, frames):
             assert np.array_equal(got.data, want)
+
+    @pytest.mark.parametrize("index", [0, 999_999, 1_000_000, 12_345_678])
+    def test_frame_name_rule_takes_every_index_frame_name_writes(self, index):
+        meta = VideoMeta(32, 24, 30.0, index + 1, "GRAY8")
+        assert _frame_index(meta.frame_name(index), meta) == index
+
+    @pytest.mark.parametrize("name", ["frame_0000001.pgm", "frame_000001.ppm", "frame_00001.pgm"])
+    def test_frame_name_rule_ignores_other_names(self, name):
+        assert _frame_index(name, VideoMeta(32, 24, 30.0, 2, "GRAY8")) is None
+
+    def test_corrupt_frame_header_names_the_file(self, tmp_path):
+        self._make_dir_source(tmp_path)
+        (tmp_path / "frame_000001.ppm").write_bytes(b"P6\n160")
+        _, stream = open_source(tmp_path)
+        with pytest.raises(ValueError, match=r"^malformed PNM header in frame_000001\.ppm$"):
+            list(stream)
 
     def test_non_contiguous_indices(self, tmp_path):
         self._make_dir_source(tmp_path)

@@ -152,7 +152,7 @@ class TestRunStream:
         lines = ds.landmarks_path.read_text().splitlines()
         header, first = lines[0], lines[1]
         ds.landmarks_path.write_text(header + "\n" + first.replace("0,", "10,", 1) + "\n")
-        with pytest.raises(ValueError, match="no landmarks yet"):
+        with pytest.raises(ValueError, match="^no landmarks at or before 0$"):
             run_recording(ds.video_path, RunConfig(), landmarks_path=ds.landmarks_path)
 
 

@@ -85,23 +85,23 @@ class TestLandmarkTrack:
     def test_step_hold_lookup(self, tmp_path):
         p = tmp_path / "lm.csv"
         _write_csv(p, [(0, 100, 100, 80, 90, 120, 90), (600, 110, 100, 90, 90, 130, 90)])
-        track = load_landmark_track(p)
-        assert track.lookup(599).frame_index == 0
-        assert track.lookup(600).frame_index == 600
-        assert track.lookup(10_000).frame_index == 600
+        landmarks_at = load_landmark_track(p)
+        assert landmarks_at(599).frame_index == 0
+        assert landmarks_at(600).frame_index == 600
+        assert landmarks_at(10_000).frame_index == 600
 
     def test_lookup_before_first(self, tmp_path):
         p = tmp_path / "lm.csv"
         _write_csv(p, [(10, 100, 100, 80, 90, 120, 90)])
-        with pytest.raises(ValueError, match="no landmarks yet"):
-            load_landmark_track(p).lookup(9)
+        with pytest.raises(ValueError, match="^no landmarks at or before 9$"):
+            load_landmark_track(p)(9)
 
     def test_single_record_serves_everything(self, tmp_path):
         p = tmp_path / "lm.csv"
         _write_csv(p, [(0, 100, 100, 80, 90, 120, 90)])
-        track = load_landmark_track(p)
+        landmarks_at = load_landmark_track(p)
         for idx in (0, 1, 599, 10**6):
-            assert track.lookup(idx).frame_index == 0
+            assert landmarks_at(idx).frame_index == 0
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "lm.csv"
@@ -138,6 +138,6 @@ class TestLandmarkTrack:
         records = [lm(frame=0), lm(frame=600, chin=(101.5, 102.25))]
         p = tmp_path / "lm.csv"
         write_landmark_track(p, records)
-        track = load_landmark_track(p)
-        assert track.lookup(0) == records[0]
-        assert track.lookup(600) == records[1]
+        landmarks_at = load_landmark_track(p)
+        assert landmarks_at(0) == records[0]
+        assert landmarks_at(600) == records[1]

@@ -107,8 +107,8 @@ class TestGenerate:
 class TestSceneGeometry:
     def test_landmarks_reproduce_scene_roi(self, tmp_path):
         ds = make_recording(tmp_path / "rec", duration_s=0.5)
-        track = load_landmark_track(ds.landmarks_path)
-        rect = roi_from_landmarks(track.lookup(0), ds.meta)
+        landmarks_at = load_landmark_track(ds.landmarks_path)
+        rect = roi_from_landmarks(landmarks_at(0), ds.meta)
         assert rect == ds.geometry.roi
 
     def test_roi_contains_boundary_travel(self):
@@ -120,8 +120,8 @@ class TestSceneGeometry:
 
     def test_jump_writes_second_landmark_record(self, tmp_path):
         ds = make_recording(tmp_path / "rec", duration_s=2.0, roi_jump_at_s=1.0)
-        track = load_landmark_track(ds.landmarks_path)
-        first, second = track.lookup(0), track.lookup(60)
+        landmarks_at = load_landmark_track(ds.landmarks_path)
+        first, second = landmarks_at(0), landmarks_at(60)
         assert second.frame_index == 30
         assert second.chin[1] - first.chin[1] == 6.0
 
