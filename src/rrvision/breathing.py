@@ -10,10 +10,15 @@ series is steadiest wins, and its mean is the prediction for the window.
 
 Peak picking is array code per wave: each local maximum's prominence comes
 from the nearest strictly higher sample on either side and the minimum
-between them, taken over a (candidates x samples) mask, and the survivors
-are thinned tallest first in one pass over a mask of blocked samples. The
-prediction keeps every group's RR series, so a configuration with fewer
-groups of the same size can be decided from the first of them."""
+between them, taken over a (candidates x turning points) mask, and the
+survivors are thinned tallest first in one pass over a mask of blocked
+samples. The turning points are the two borders, the local maxima and the
+non-strict local minima. The result is the same as over every sample: each
+stretch's minimum is a local minimum, a border sample or the peak, and
+between a kept sample at or below a peak and the nearest sample above it
+the wave climbs through a local maximum above the peak. The prediction
+keeps every group's RR series, so a configuration with fewer groups of the
+same size can be decided from the first of them."""
 
 from __future__ import annotations
 
@@ -55,7 +60,7 @@ def detrend(signal: np.ndarray) -> np.ndarray:
         raise ValueError("detrend needs at least 2 samples")
     t_c = np.arange(n, dtype=np.float64) - (n - 1) / 2  # (n - 1) / 2 is the exact mean
     y_c = y - y.mean(axis=-1, keepdims=True)
-    slope = np.vecdot(y_c, t_c) / (t_c @ t_c)
+    slope = (y_c * t_c).sum(axis=-1) / (t_c * t_c).sum()
     return y_c - np.expand_dims(slope, -1) * t_c
 
 
@@ -118,7 +123,24 @@ def _prominence(wave: np.ndarray, peaks: np.ndarray) -> np.ndarray:
 
     On each side the stretch runs up to the nearest sample strictly above the
     peak (or the array border); its minimum includes the peak itself.
+
+    ``peaks`` must hold every local maximum of ``wave`` in ascending order, as
+    detect_peaks passes them. The masks then run over the turning points only:
+    samples 0 and n-1, the peaks, and every non-strict local minimum
+    (``w[i] <= w[i-1]`` and ``w[i] <= w[i+1]``). The result is exact. A
+    stretch's minimum is the peak itself, a border sample or a local minimum,
+    so it is kept. The nearest sample above a peak is a local maximum, or it
+    lies on a climb to one (or to a border) on which every sample is above the
+    peak. Between that sample and any kept sample at or below the peak the
+    wave rises to a local maximum above the peak, which is kept. So the
+    nearest kept sample above the peak closes the same stretch, and no stretch
+    gains or loses a minimum.
     """
+    keep = np.ones(len(wave), dtype=bool)
+    keep[1:-1] = (wave[1:-1] <= wave[:-2]) & (wave[1:-1] <= wave[2:])
+    keep[peaks] = True
+    kept = np.flatnonzero(keep)
+    wave, peaks = wave[kept], np.searchsorted(kept, peaks)
     idx = np.arange(len(wave))
     p = peaks[:, None]
     height = wave[p]

@@ -13,8 +13,9 @@ The manifest is a UTF-8 JSON object with keys exactly
 ``{"width", "height", "fps", "frame_count", "pixel_format"}``.
 
 A PNM header is ``P5`` or ``P6``, then width, height and maxval, each after
-whitespace and ``#`` comments (to the end of the line), then one whitespace byte.
-A comment glued to a digit is rejected; every header error names the file.
+at least one whitespace byte or ``#`` comment (to the end of the line), then
+one whitespace byte. A comment glued to a digit, or a width glued to the magic
+number, is rejected; every header error names the file.
 
 Side files sit in the sequence directory or beside the raw file (``side_file``).
 ``landmarks.csv`` and ``ground_truth.csv`` are step-hold CSVs with one reader,
@@ -140,7 +141,7 @@ def write_manifest(path: Path, meta: VideoMeta) -> None:
 # --- PPM / PGM (binary, maxval 255) ---------------------------------------
 
 _PNM_HEADER_RE = re.compile(
-    rb"(P[56])(?:\s|#[^\n]*\n)*(\d+)" + rb"\s(?:\s|#[^\n]*\n)*(\d+)" * 2 + rb"\s")
+    rb"(P[56])(?:\s|#[^\n]*\n)+(\d+)" + rb"\s(?:\s|#[^\n]*\n)*(\d+)" * 2 + rb"\s")
 
 
 def read_pnm(path: Path) -> np.ndarray:

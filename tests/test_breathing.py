@@ -133,8 +133,10 @@ class TestDetrend:
             m = rng.normal(0, 50, size=(n_rows, n)).cumsum(axis=1) + rng.uniform(-200, 200)
             t = np.arange(n, dtype=np.float64)
             t_c = t - t.mean()
+            # each row's slope sums its products in numpy's own order, not a BLAS kernel's
             want = np.stack([
-                row - row.mean() - (t_c @ (row - row.mean())) / (t_c @ t_c) * t_c for row in m
+                row - row.mean() - (t_c * (row - row.mean())).sum() / (t_c * t_c).sum() * t_c
+                for row in m
             ])
             assert np.array_equal(detrend(m), want)
 
@@ -328,6 +330,45 @@ class TestDetectPeaks:
         assert len(peaks) >= 2
         for d in np.diff(peaks):
             assert abs(d - true_period) <= 1.0
+
+
+class TestProminence:
+    """_prominence keeps only a wave's turning points; it must equal the full walk."""
+
+    @staticmethod
+    def assert_matches_walk(wave):
+        wave = np.asarray(wave, dtype=np.float64)
+        cand = np.array(oracle_local_maxima(wave), dtype=np.int64)
+        assert list(_prominence(wave, cand)) == [oracle_prominence(wave, i) for i in cand]
+
+    @pytest.mark.parametrize("wave", [
+        [9, 8, 7, 1, 5, 2],  # the first higher sample climbs to sample 0 without a dip
+        [2, 5, 1, 7, 8, 9],  # ... and to sample n-1
+        [1, 7, 5, 2, 3, 1],  # the first higher sample climbs to an interior maximum
+        [0, 3, 1, 3, 3, 1, 3, 0],  # plateaus at exactly the peak's height on both sides
+        [1, 2, 2, 0, 2, 1, 2, 2, 0],  # ... where the peaks are plateaus too
+        [5, 0, 0, 0, 3, 1, 4],  # the left stretch's minimum is a flat valley
+        [4, 1, 3, 2, 2, 2, 5],  # the right stretch's minimum is a flat valley above its border
+        [0, 1, 0], [1, 2, 1], [2, 1, 0],  # n = 3
+        [0, 1, 1, 0], [0, 2, 1, 3], [3, 1, 2, 0], [1, 1, 1, 1],  # n = 4
+    ])
+    def test_hand_made_waves(self, wave):
+        self.assert_matches_walk(wave)
+
+    def test_matches_walk_2000_random_waves(self):
+        rng = np.random.default_rng(16)
+        for k in range(2000):
+            n = int(rng.integers(3, 301))
+            kind = k % 4
+            if kind == 0:  # random walk
+                wave = np.cumsum(rng.normal(0, 1, n))
+            elif kind == 1:  # 4-level plateaus
+                wave = np.repeat(rng.integers(0, 4, n), rng.integers(1, 6, n))[:n] * 1.0
+            elif kind == 2:  # rounded walk: plateaus and equal heights
+                wave = np.round(np.cumsum(rng.normal(0, 1, n)) * 2) / 2
+            else:  # noisy sine
+                wave = np.sin(np.arange(n) * rng.uniform(0.05, 0.5)) + rng.normal(0, 0.3, n)
+            self.assert_matches_walk(wave)
 
 
 class TestInstantaneousRR:

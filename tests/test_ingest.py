@@ -124,7 +124,9 @@ class TestPnm:
         (b"P7\n4 4\n255\n" + bytes(16), "malformed PNM header"),
         (b"P5\n4 4\n65535\n" + bytes(32), "only maxval 255 is supported, got 65535"),
         (b"P5\n4#glued\n4\n255\n" + bytes(16), "malformed PNM header"),
-    ], ids=["truncated", "non_numeric", "magic_p7", "maxval_65535", "comment_glued_to_digit"])
+        (b"P54 4 255\n" + bytes(16), "malformed PNM header"),
+    ], ids=["truncated", "non_numeric", "magic_p7", "maxval_65535", "comment_glued_to_digit",
+            "width_glued_to_magic"])
     def test_malformed_header_names_the_file(self, tmp_path, content, message):
         path = tmp_path / "frame_000002.pgm"
         path.write_bytes(content)
