@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -60,16 +61,18 @@ def detrend(signal: np.ndarray) -> np.ndarray:
         raise ValueError("detrend needs at least 2 samples")
     t_c = np.arange(n, dtype=np.float64) - (n - 1) / 2  # (n - 1) / 2 is the exact mean
     y_c = y - y.mean(axis=-1, keepdims=True)
-    slope = (y_c * t_c).sum(axis=-1) / (t_c * t_c).sum()
-    return y_c - np.expand_dims(slope, -1) * t_c
+    out = np.multiply(y_c, t_c)  # y_c * t_c, then the line, then the result
+    slope = out.sum(axis=-1) / (t_c * t_c).sum()
+    return np.subtract(y_c, np.multiply(np.expand_dims(slope, -1), t_c, out=out), out=out)
 
 
 def group_layout(n_rows: int, cfg: BreathingConfig) -> tuple[int, int]:
     """(group_size, G): the groups select_and_group forms from n_rows rows that are not flat."""
-    group_size = int(np.floor(n_rows * cfg.group_frac))
+    # rows of the decimal each fraction is written as: 100 at 0.29 are 29, not the float's 28
+    group_size, n_top = (math.floor(n_rows * Fraction(str(frac)))
+                         for frac in (cfg.group_frac, cfg.top_frac))
     if group_size < 1:
         raise ValueError("window has too few rows for the configured group fraction")
-    n_top = int(np.floor(n_rows * cfg.top_frac))
     return group_size, min(cfg.n_groups(), n_top // group_size)
 
 

@@ -22,9 +22,10 @@ double-threshold hysteresis with 8-connectivity. Everything is deterministic:
 * thresholds apply to the raw Sobel magnitude (0..255*4*sqrt(2) scale);
 * pixels within the blur radius of the border are never edges.
 
-Masks are plain boolean arrays, True where a pixel participates in profile
-averaging. The float64 planes in between are views of a CannyScratch, which a
-stream keeps from one epoch start to the next.
+The input is the crop as the reader gives it: the first float64 plane takes an
+RGB24 crop's exact channel mean, or a GRAY8 plane as it is. Masks are plain
+boolean arrays, True where a pixel participates in profile averaging. The planes
+in between are views of a CannyScratch, kept from one epoch start to the next.
 """
 
 from __future__ import annotations
@@ -92,13 +93,26 @@ def _correlate1d(src: np.ndarray, kernel: np.ndarray, axis: int, out: np.ndarray
     return out
 
 
+def _gray_into(img: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """img into the float plane out: a plane as it is, a uint8 RGB crop as its channel mean."""
+    if img.ndim == 2:
+        out[...] = img
+    elif img.dtype != np.uint8:
+        raise ValueError(f"RGB samples must be uint8, not {img.dtype}")
+    else:  # at most 765, the sum is exact in uint16; one division gives the float mean's bits
+        total = np.add(img[..., 0], img[..., 1], dtype=np.uint16)
+        total += img[..., 2]
+        np.divide(total, 3.0, out=out)
+    return out
+
+
 def _blur(img: np.ndarray, kernel: np.ndarray, out: np.ndarray, planes) -> np.ndarray:
     """img blurred into out, working in the three flat planes; out may lie in the first."""
-    h, w = img.shape
+    h, w = img.shape[:2]
     r = len(kernel) // 2
     p0, p1, p2 = planes
     padded = _shaped(p0, h + 2 * r, w + 2 * r)
-    padded[r : r + h, r : r + w] = img
+    _gray_into(img, padded[r : r + h, r : r + w])
     # mirror padding commutes with the column pass, so one pad serves both passes
     cols = _correlate1d(_reflect_border(padded, r), kernel, 0,
                         _shaped(p1, h, w + 2 * r), _shaped(p2, h, w + 2 * r))
@@ -107,7 +121,7 @@ def _blur(img: np.ndarray, kernel: np.ndarray, out: np.ndarray, planes) -> np.nd
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     k = gaussian_kernel(sigma)
-    h, w = img.shape
+    h, w = img.shape[:2]
     r = len(k) // 2
     return _blur(img, k, np.empty((h, w)), CannyScratch().planes((h + 2 * r) * (w + 2 * r)))
 
@@ -208,14 +222,14 @@ def hysteresis(mag: np.ndarray, low: float, high: float) -> np.ndarray:
 
 def canny(gray_roi: np.ndarray, cfg: CannyConfig | None = None,
           scratch: CannyScratch | None = None) -> np.ndarray:
-    """Boolean edge map of a real-valued grayscale ROI.
+    """Boolean edge map of a GRAY8 (h, w) or uint8 RGB24 (h, w, 3) crop, or any real (h, w) plane.
 
-    The float64 planes are views of `scratch`, or of a throwaway one when
-    none is given; the mask returned shares no memory with it.
+    The float64 planes, the gray one first, are views of `scratch`, or of a
+    throwaway one when none is given; the mask returned shares no memory with them.
     """
     cfg = cfg or CannyConfig()
     cfg.validate()
-    h, w = gray_roi.shape
+    h, w = gray_roi.shape[:2]
     if h < MIN_ROI_SIDE or w < MIN_ROI_SIDE:
         raise ValueError(f"ROI {w}x{h} is smaller than {MIN_ROI_SIDE}x{MIN_ROI_SIDE}")
     radius = math.ceil(3 * cfg.sigma)
@@ -223,7 +237,7 @@ def canny(gray_roi: np.ndarray, cfg: CannyConfig | None = None,
         raise ValueError(f"ROI {w}x{h} is smaller than the kernel support {2 * radius + 1}")
 
     # What the planes p0 | p1 | p2 hold, stage by stage:
-    #   blur       padded input | column pass | pass scratch; the row pass
+    #   blur       padded gray ROI | column pass | pass scratch; the row pass
     #              writes into the interior of the Sobel input, in p0
     #   Sobel      Sobel input, then gy | Sobel rows | gx
     #   angle      gy | angle | gx

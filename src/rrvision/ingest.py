@@ -304,21 +304,3 @@ def write_step_hold(path, header: Sequence[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def to_grayscale(pixels: np.ndarray) -> np.ndarray:
-    """Canny's input: the RGB channels averaged into one float plane; GRAY8 only becomes float.
-
-    Equal channel weights. RGB samples must be uint8, as the readers give
-    them: their sum, at most 765, is exact in uint16, and one division by
-    3.0 then equals the float mean of the channels bit for bit. No rounding
-    happens here, so the edge detector sees full precision. Profiles do not
-    go through this plane: they average the uint8 samples themselves.
-    """
-    if pixels.ndim == 3:
-        if pixels.dtype != np.uint8:
-            raise ValueError(f"RGB samples must be uint8, not {pixels.dtype}")
-        total = np.add(pixels[..., 0], pixels[..., 1], dtype=np.uint16)
-        total += pixels[..., 2]
-        return total / 3.0
-    return pixels.astype(np.float64)

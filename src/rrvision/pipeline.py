@@ -4,8 +4,9 @@ Per frame: crop the ROI, take the uint8 crop's masked row means, resample
 them and push the profile into the window. The window's MotionBuffer owns the
 frame schedule; when it says the next column starts an epoch, the ROI is
 re-estimated first, and the crop's mask and row plan are built: the dilated
-Canny edges of the grayscale crop in edges mode, every pixel in full_roi
-mode. Only those epoch starts convert a crop to grayscale.
+Canny edges of the uint8 crop in edges mode, every pixel in full_roi mode.
+Canny makes the crop's grayscale plane itself, so only edges-mode epoch
+starts convert a crop to grayscale.
 Whenever the window emits a snapshot the breathing analysis runs on it and a
 prediction is yielded. When the caller passes a StageTimings, wall time is
 recorded per frame and per window so the CLI can report and tests can assert
@@ -27,7 +28,7 @@ import numpy as np
 from .breathing import RRPrediction, analyze_window
 from .config import RunConfig
 from .edges import CannyScratch, canny, dilate
-from .ingest import open_source, to_grayscale
+from .ingest import open_source
 from .profile import extract_profile, plan_rows
 from .roi import RoiRect, load_landmark_track, roi_from_landmarks
 from .window import MotionBuffer
@@ -97,8 +98,7 @@ def run_stream(
         pixels = roi_rect.crop(frame.data)
         if epoch_start:
             if cfg.profile_mode == "edges":
-                mask = dilate(canny(to_grayscale(pixels), cfg.canny, scratch),
-                              cfg.canny.dilation_radius)
+                mask = dilate(canny(pixels, cfg.canny, scratch), cfg.canny.dilation_radius)
             else:
                 mask = np.ones(pixels.shape[:2], dtype=bool)
             plan = plan_rows(mask, cfg.canonical_len, meta.channels)

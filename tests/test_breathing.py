@@ -189,6 +189,21 @@ class TestSelectAndGroup:
             select_and_group(window, CFG)
 
 
+class TestGroupLayout:
+    @pytest.mark.parametrize("n_rows,top_frac,group_frac,want", [
+        (100, 0.58, 0.29, (29, 2)),  # the float products floor to 57 and 28
+        (100, 0.57, 0.57, (57, 1)),
+        (50, 0.58, 0.58, (29, 1)),
+        (200, 0.29, 0.29, (58, 1)),
+        (100, 0.30, 0.05, (5, 6)),
+        (37, 0.30, 0.05, (1, 6)),  # 1.85 rows a group, 11.1 selected
+    ])
+    def test_rows_counted_for_the_written_decimal(self, n_rows, top_frac, group_frac, want):
+        cfg = BreathingConfig(top_frac=top_frac, group_frac=group_frac)
+        cfg.validate()
+        assert group_layout(n_rows, cfg) == want
+
+
 class TestGroupToWave:
     def test_single_signal_group(self):
         sig = np.array([[1.0, 2.0, 3.0]])

@@ -24,6 +24,7 @@ import rrvision
 from rrvision.config import CannyConfig
 from rrvision.edges import (
     CannyScratch,
+    _gray_into,
     _reflect_border,
     canny,
     dilate,
@@ -407,6 +408,69 @@ for _ in range(3):
     canny(img, scratch=scratch)
     print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+def gray_plane(img):
+    """Canny's first stage on its own: img as the float64 plane the blur pads."""
+    return _gray_into(img, np.empty(img.shape[:2]))
+
+
+class TestGrayscale:
+    def test_channel_mean(self):
+        data = np.zeros((16, 16, 3), dtype=np.uint8)
+        data[0, 0] = (30, 60, 90)
+        assert gray_plane(data)[0, 0] == 60.0
+
+    def test_rgb_must_be_uint8(self):
+        # wider samples could wrap the 16-bit channel sum; floats have no exact one
+        for dtype in (np.uint16, np.float64):
+            for convert in (gray_plane, lambda img: gaussian_blur(img, 1.0), canny):
+                with pytest.raises(ValueError, match="uint8"):
+                    convert(np.full((16, 16, 3), 300, dtype=dtype))
+
+    def test_gray_identity(self):
+        data = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        assert np.array_equal(gray_plane(data), data.astype(np.float64))
+        for sigma in (1.0, 2.0):
+            blurred = gaussian_blur(data, sigma)
+            assert np.array_equal(blurred.view(np.uint64),
+                                  gaussian_blur(data.astype(np.float64), sigma).view(np.uint64))
+
+    def test_matches_per_pixel_oracle(self):
+        rng = np.random.default_rng(3)
+        data = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
+        got = gray_plane(data[2:13, 3:11])  # a crop, as the pipeline passes it
+        # brute-force per-pixel mean; the channel sum is exact, so equality is exact
+        for y in range(11):
+            for x in range(8):
+                want = (int(data[y + 2, x + 3, 0]) + int(data[y + 2, x + 3, 1])
+                        + int(data[y + 2, x + 3, 2])) / 3.0
+                assert got[y, x] == want
+        assert np.array_equal(got, data.astype(np.float64).mean(axis=2)[2:13, 3:11])
+        # saturated and black pixels on a strided crop, then an odd width: bit for
+        # bit the float64 channel sum divided by 3, which an 8-bit or rounded sum breaks
+        data[3, ::3] = 255
+        data[5, 3::3] = 0
+        data[7, 0] = 255
+        for crop in (data[1:15:2, ::3], data[3:12, 2:9]):
+            want = (crop[..., 0].astype(np.float64) + crop[..., 1] + crop[..., 2]) / 3.0
+            got = gray_plane(crop)
+            assert got.shape == crop.shape[:2]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert gray_plane(data[1:15:2, ::3])[1].tolist() == [255.0] * 6
+
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**31 - 1))
+    def test_canny_reads_rgb_as_its_gray_plane(self, seed):
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(0, 256, size=(8, 9, 3), dtype=np.uint8)
+        data = levels.repeat(8, axis=0).repeat(8, axis=1)  # blocks: edges between them
+        data[rng.random(data.shape) < 0.05] = 255
+        crop = data[3:61, 5:70]  # a strided crop with an odd width, as the pipeline passes it
+        gray = (crop[..., 0].astype(np.float64) + crop[..., 1] + crop[..., 2]) / 3.0
+        mask = canny(crop, scratch=CannyScratch())
+        assert mask.any()
+        assert np.array_equal(mask, canny(gray))
 
 
 class TestHysteresis:

@@ -11,9 +11,9 @@ cells, and over fractions that fall below the group fraction (0.02) and
 between the defaults (0.15). The tables are the only output that shows
 ``best_group_ge2_share``.
 
-Canny itself is pinned at deployment size: the landmark ROI (320x240) of a
-seeded 640x480 RGB24 scene, at a few frames and three blur sigmas, as the
-sha256 of each packed edge mask. The recordings above only ever run Canny on
+Canny itself is pinned at deployment size: the uint8 landmark ROI (320x240)
+of a seeded 640x480 RGB24 scene, at a few frames and three blur sigmas, as
+the sha256 of each packed edge mask. The recordings above only ever run Canny on
 80x60 ROIs.
 
 To rewrite the files after an intended output change, run
@@ -33,7 +33,6 @@ from rrvision import evaluate
 from rrvision.cli import main
 from rrvision.config import CannyConfig, RoiGeometryConfig, RunConfig
 from rrvision.edges import canny
-from rrvision.ingest import to_grayscale
 from rrvision.roi import roi_from_landmarks
 from rrvision.synth import SynthConfig, _Scene
 
@@ -95,9 +94,9 @@ def vga_edge_masks() -> str:
     roi = roi_from_landmarks(scene.geom.landmarks, scene.cfg.meta, RoiGeometryConfig())
     rows = ["frame,sigma,edge_pixels,packbits_sha256"]
     for i in VGA_FRAMES:
-        gray = to_grayscale(roi.crop(scene.render_quantized(i)))
+        crop = roi.crop(scene.render_quantized(i))  # uint8 RGB24, as the reader gives it
         for sigma in VGA_SIGMAS:
-            mask = canny(gray, CannyConfig(sigma=sigma))
+            mask = canny(crop, CannyConfig(sigma=sigma))
             digest = hashlib.sha256(np.packbits(mask).tobytes()).hexdigest()
             rows.append(f"{i},{sigma},{int(mask.sum())},{digest}")
     return "\n".join(rows) + "\n"

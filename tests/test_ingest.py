@@ -3,8 +3,6 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rrvision.ingest import (
     RELEASE_BYTES,
@@ -14,7 +12,6 @@ from rrvision.ingest import (
     _frame_index,
     read_pnm,
     side_file,
-    to_grayscale,
     write_manifest,
     write_pnm,
 )
@@ -320,52 +317,3 @@ class TestSynthRoundTrip:
         _, stream = open_source(ds.video_path)
         for frame in stream:
             assert np.array_equal(frame.data, scene.render_quantized(frame.index))
-
-
-class TestGrayscale:
-    def test_channel_mean(self):
-        data = np.zeros((16, 16, 3), dtype=np.uint8)
-        data[0, 0] = (30, 60, 90)
-        assert to_grayscale(data)[0, 0] == 60.0
-
-    def test_rgb_must_be_uint8(self):
-        # wider samples could wrap the 16-bit channel sum; floats have no exact one
-        for dtype in (np.uint16, np.float64):
-            with pytest.raises(ValueError, match="uint8"):
-                to_grayscale(np.full((4, 4, 3), 300, dtype=dtype))
-
-    def test_gray_identity(self):
-        data = np.arange(256, dtype=np.uint8).reshape(16, 16)
-        assert np.array_equal(to_grayscale(data), data.astype(np.float64))
-
-    def test_matches_per_pixel_oracle(self):
-        rng = np.random.default_rng(3)
-        data = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
-        got = to_grayscale(data[2:13, 3:11])  # a crop, as the pipeline passes it
-        # brute-force per-pixel mean; the channel sum is exact, so equality is exact
-        for y in range(11):
-            for x in range(8):
-                want = (int(data[y + 2, x + 3, 0]) + int(data[y + 2, x + 3, 1])
-                        + int(data[y + 2, x + 3, 2])) / 3.0
-                assert got[y, x] == want
-        assert np.array_equal(got, data.astype(np.float64).mean(axis=2)[2:13, 3:11])
-        # saturated and black pixels on a strided crop, then an odd width: bit for
-        # bit the float64 channel sum divided by 3, which an 8-bit or rounded sum breaks
-        data[3, ::3] = 255
-        data[5, 3::3] = 0
-        data[7, 0] = 255
-        for crop in (data[1:15:2, ::3], data[3:12, 2:9]):
-            want = (crop[..., 0].astype(np.float64) + crop[..., 1] + crop[..., 2]) / 3.0
-            got = to_grayscale(crop)
-            assert got.dtype == np.float64 and got.shape == crop.shape[:2]
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert to_grayscale(data[1:15:2, ::3])[1].tolist() == [255.0] * 6
-
-    @settings(max_examples=25)
-    @given(st.integers(0, 2**31 - 1))
-    def test_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
-        once = to_grayscale(data)
-        twice = to_grayscale(once)
-        assert np.array_equal(once, twice)

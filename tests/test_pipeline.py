@@ -172,19 +172,41 @@ def reest_every_5s() -> RunConfig:
 class TestGrayscaleOnlyForCanny:
     @pytest.mark.parametrize("mode,want", [("edges", 8), ("full_roi", 0)])
     def test_one_conversion_per_edges_epoch(self, reest_recording, monkeypatch, mode, want):
+        # Canny converts the crop itself, so its calls count the grayscale planes
         calls = []
-        real = pipeline.to_grayscale
+        real = pipeline.canny
 
-        def counted(pixels):
+        def counted(pixels, *args):
             calls.append(pixels.shape)
-            return real(pixels)
+            return real(pixels, *args)
 
-        monkeypatch.setattr(pipeline, "to_grayscale", counted)
+        monkeypatch.setattr(pipeline, "canny", counted)
         cfg = reest_every_5s()
         cfg.profile_mode = mode
         ds = reest_recording
         run_recording(ds.video_path, cfg, landmarks_path=ds.landmarks_path)
         assert len(calls) == want  # edges: frames 0, 150, ..., 1050
+
+
+class TestRgbGrayTwins:
+    @pytest.mark.parametrize("mode", ["edges", "full_roi"])
+    def test_ppm_sequence_predicts_as_its_gray8_raw_twin(self, tmp_path, mode):
+        # synth repeats the gray plane into three channels, so the RGB channel
+        # mean is exactly the gray value: Canny and the profile see the same
+        params = dict(duration_s=26.0, texture_seed=13)
+        rgb = make_recording(tmp_path / "rgb", pixel_format="RGB24", container="images", **params)
+        gray = make_recording(tmp_path / "gray", pixel_format="GRAY8", container="raw", **params)
+        cfg = RunConfig()
+        cfg.schedule.reest_s = 3.0
+        cfg.profile_mode = mode
+
+        def rows(ds):
+            preds = run_recording(ds.video_path, cfg, landmarks_path=ds.landmarks_path)
+            return [(p.t, p.rr_bpm, p.group_index, p.n_peaks, p.valid) for p in preds]
+
+        want = rows(gray)
+        assert len(want) == 7 and all(valid for *_, valid in want)
+        assert rows(rgb) == want
 
 
 class TestEpochStitching:
