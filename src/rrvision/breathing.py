@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -66,26 +65,16 @@ def detrend(signal: np.ndarray) -> np.ndarray:
     return np.subtract(y_c, np.multiply(np.expand_dims(slope, -1), t_c, out=out), out=out)
 
 
-def group_layout(n_rows: int, cfg: BreathingConfig) -> tuple[int, int]:
-    """(group_size, G): the groups select_and_group forms from n_rows rows that are not flat."""
-    # rows of the decimal each fraction is written as: 100 at 0.29 are 29, not the float's 28
-    group_size, n_top = (math.floor(n_rows * Fraction(str(frac)))
-                         for frac in (cfg.group_frac, cfg.top_frac))
-    if group_size < 1:
-        raise ValueError("window has too few rows for the configured group fraction")
-    return group_size, min(cfg.n_groups(), n_top // group_size)
-
-
 def select_and_group(window: MotionWindow, cfg: BreathingConfig) -> np.ndarray:
     """Detrend rows, rank by std, keep the top fraction, split into groups.
 
     Returns a (G, group_size, N) array in rank order (group 0 holds the
-    highest-std signals). Ranking ties break toward the lower row index.
-    Leftover selected rows beyond G*group_size are dropped. An all-flat
-    window yields G = 0.
+    highest-std signals), sized by cfg.groups. Ranking ties break toward the
+    lower row index. Leftover selected rows beyond G*group_size are dropped.
+    An all-flat window yields G = 0.
     """
     n_rows, n_cols = window.matrix.shape
-    group_size, n_groups = group_layout(n_rows, cfg)
+    group_size, n_groups = cfg.groups(n_rows)
     detrended = detrend(window.matrix)
     stds = detrended.std(axis=1)
     if np.all(stds <= FLAT_STD):

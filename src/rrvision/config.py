@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 # smallest ROI side, in pixels, that ROI clamping and Canny accept
 MIN_ROI_SIDE = 8
@@ -73,18 +74,29 @@ class BreathingConfig:
     min_peaks: int = 3
     cycles_per_peak: float = 1.0
 
-    def n_groups(self) -> int:
-        g = self.top_frac / self.group_frac
-        if abs(g - round(g)) > 1e-9:
-            raise ValueError("group_frac must divide top_frac into an integer group count")
-        return int(round(g))
+    def groups(self, n_rows: int) -> tuple[int, int]:
+        """(group_size, n_groups) for n_rows ranked rows, exact on the written decimals.
+
+        Rows are floored against the decimal a fraction is written as (100 rows at
+        0.29 are 29, not the float's 28), and top_frac / group_frac must be whole.
+        """
+        (a, b), (c, d) = (Decimal(str(f)).as_integer_ratio()  # exactly a/b, in lowest terms
+                          for f in (self.group_frac, self.top_frac))
+        n_groups, rest = divmod(c * b, d * a)
+        if rest:
+            raise ValueError("group_frac must divide top_frac into a whole number of groups")
+        group_size = n_rows * a // b
+        if group_size < 1:
+            raise ValueError(f"too few rows for group_frac {self.group_frac}: {n_rows}")
+        return group_size, n_groups
 
     def validate(self) -> None:
         if not 0 < self.group_frac <= self.top_frac <= 1:
             raise ValueError("need 0 < group_frac <= top_frac <= 1")
-        self.n_groups()
-        if not self.rr_min < self.rr_max:
-            raise ValueError("rr_min must be below rr_max")
+        if not 0 <= self.rr_min < self.rr_max:
+            raise ValueError("need 0 <= rr_min < rr_max")
+        if self.smooth_s < 0:
+            raise ValueError("smooth_s must be >= 0")
         if self.min_peaks < 2:
             raise ValueError("min_peaks must be >= 2")
         if self.cycles_per_peak <= 0:
@@ -110,6 +122,7 @@ class RunConfig:
             raise ValueError(f"unknown profile_mode {self.profile_mode!r}")
         if self.canonical_len < 2:
             raise ValueError("canonical_len must be >= 2")
+        self.breathing.groups(self.canonical_len)  # every window has canonical_len rows
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":

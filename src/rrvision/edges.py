@@ -220,16 +220,16 @@ def hysteresis(mag: np.ndarray, low: float, high: float) -> np.ndarray:
     return out
 
 
-def canny(gray_roi: np.ndarray, cfg: CannyConfig | None = None,
+def canny(roi: np.ndarray, cfg: CannyConfig | None = None,
           scratch: CannyScratch | None = None) -> np.ndarray:
-    """Boolean edge map of a GRAY8 (h, w) or uint8 RGB24 (h, w, 3) crop, or any real (h, w) plane.
+    """Edge mask of roi: a GRAY8 (h, w) or uint8 RGB24 (h, w, 3) crop, or a real (h, w) plane.
 
-    The float64 planes, the gray one first, are views of `scratch`, or of a
+    The float64 planes, roi's gray plane first, are views of `scratch`, or of a
     throwaway one when none is given; the mask returned shares no memory with them.
     """
     cfg = cfg or CannyConfig()
     cfg.validate()
-    h, w = gray_roi.shape[:2]
+    h, w = roi.shape[:2]
     if h < MIN_ROI_SIDE or w < MIN_ROI_SIDE:
         raise ValueError(f"ROI {w}x{h} is smaller than {MIN_ROI_SIDE}x{MIN_ROI_SIDE}")
     radius = math.ceil(3 * cfg.sigma)
@@ -245,7 +245,7 @@ def canny(gray_roi: np.ndarray, cfg: CannyConfig | None = None,
     planes = (scratch or CannyScratch()).planes((h + 2 * radius) * (w + 2 * radius))
     p0, p1, p2 = planes
     sob = _shaped(p0, h + 2, w + 2)
-    _blur(gray_roi, gaussian_kernel(cfg.sigma), sob[1:-1, 1:-1], planes)
+    _blur(roi, gaussian_kernel(cfg.sigma), sob[1:-1, 1:-1], planes)
     gx, gy = _sobel(_reflect_border(sob, 1), _shaped(p1, h, w + 2), _shaped(p2, h, w),
                     _shaped(p0, h, w))
     bins = quantize_orientation(gx, gy, _shaped(p1, h, w))

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .breathing import RRPrediction, group_layout, predict
+from .breathing import RRPrediction, predict
 from .config import RunConfig, apply_overrides
 from .ingest import GROUND_TRUTH_HEADER, read_step_hold, step_hold
 from .pipeline import run_recording
@@ -161,10 +161,12 @@ def run_cell(
     """The cells of one profile mode, one per fraction, each pooling every recording's errors.
 
     Cells that share a group fraction share one pass per recording, at the
-    largest of their fractions; a failed pass fails each of its cells.
+    largest of their fractions; a failed pass fails each of its cells. A
+    recording's ground truth is read before its pass, so a bad file fails fast.
     """
     # a bad cell is a configuration error, raised before any pass
     cfgs = [_cell_config(base_cfg, mode, f) for f in fractions]
+    n_groups = [cfg.breathing.groups(cfg.canonical_len)[1] for cfg in cfgs]
     passes: dict[float, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         passes.setdefault(cfg.breathing.group_frac, []).append(i)
@@ -175,10 +177,11 @@ def run_cell(
         errors: dict[int, list[float]] = {i: [] for i in members}
         try:
             for rec in recordings:
-                windows = run_recording(rec.video_path, pass_cfg, rec.landmarks_path, rec.fixed_roi)
                 gt = load_ground_truth(rec.ground_truth_path)
+                windows = run_recording(rec.video_path, pass_cfg, rec.landmarks_path, rec.fixed_roi)
                 for i in members:
-                    cell_preds = [_as_cell(w, cfgs[i]) for w in windows]
+                    k, bcfg = n_groups[i], cfgs[i].breathing
+                    cell_preds = [predict(w.series[:k], w.t, bcfg) for w in windows]
                     preds[i] += cell_preds
                     errors[i] += prediction_errors(cell_preds, gt)[0]
         except (OSError, ValueError) as exc:
@@ -191,12 +194,6 @@ def run_cell(
             share = group_rank_stats(winners) if winners else None
             cells[i] = AblationCell(mode, fractions[i], metrics, share)
     return cells
-
-
-def _as_cell(window: RRPrediction, cfg: RunConfig) -> RRPrediction:
-    """The prediction cfg makes of a window the pass analysed: its first groups decide."""
-    n_groups = group_layout(cfg.canonical_len, cfg.breathing)[1]
-    return predict(window.series[:n_groups], window.t, cfg.breathing)
 
 
 def ablation(

@@ -10,7 +10,6 @@ from rrvision.breathing import (
     best_group,
     detect_peaks,
     detrend,
-    group_layout,
     group_to_wave,
     instantaneous_rr,
     predict,
@@ -201,7 +200,7 @@ class TestGroupLayout:
     def test_rows_counted_for_the_written_decimal(self, n_rows, top_frac, group_frac, want):
         cfg = BreathingConfig(top_frac=top_frac, group_frac=group_frac)
         cfg.validate()
-        assert group_layout(n_rows, cfg) == want
+        assert cfg.groups(n_rows) == want
 
 
 class TestGroupToWave:
@@ -468,8 +467,8 @@ class TestGroupPrefix:
             ) * np.sin(2 * np.pi * rng.uniform(0.15, 0.5) * np.arange(400) / 20.0)
             window = window_from_rows(rows, fs=20.0)
             full = analyze_window(window, CFG)
-            assert len(full.series) == group_layout(n_rows, CFG)[1]
-            k = group_layout(n_rows, cfg)[1]
+            assert len(full.series) == CFG.groups(n_rows)[1]
+            k = cfg.groups(n_rows)[1]
             assert predict(full.series[:k], 20.0, cfg) == analyze_window(window, cfg)
 
     def test_flat_window_has_no_series(self):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from rrvision import evaluate, pipeline
 from rrvision.cli import main
 from rrvision.evaluate import SR_BOUND_BPM
 from rrvision.synth import SynthConfig, generate
@@ -72,6 +73,26 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", ds.video_path, "--reest-s", "0.01", "--out", out_csv)
         assert code == 1
         assert out == ""
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--canonical-len", "19"], "too few rows for group_frac 0.05: 19"),
+        (["--canonical-len", "19", "--dump-config"], "too few rows for group_frac 0.05: 19"),
+        (["--rr-min", "-1", "--rr-max", "0"], "need 0 <= rr_min < rr_max"),
+        (["--smooth-s", "-1"], "smooth_s must be >= 0"),
+    ])
+    def test_bad_breathing_config_exits_1_before_any_read(self, capsys, tmp_path, monkeypatch,
+                                                          cadence_recording, flags, message):
+        def no_read(*args):
+            raise AssertionError("the recording was opened")
+
+        monkeypatch.setattr(pipeline, "open_source", no_read)
+        out_csv = tmp_path / "f.csv"
+        code, out, err = run_cli(capsys, "run", cadence_recording.video_path, "--out", out_csv,
+                                 *flags)
+        assert code == 1
+        assert out == ""
+        assert f"error: {message}" in err
         assert not out_csv.exists()
 
     def test_short_video_out_file_holds_header(self, capsys, tmp_path):
@@ -325,6 +346,16 @@ class TestEvalCommand:
         assert code == 1
         assert out == ""
         assert f"error: {message}" in err
+
+    def test_config_with_no_group_exits_1_before_any_pass(self, capsys, manifest, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("a recording was run")
+
+        monkeypatch.setattr(evaluate, "run_recording", no_pass)
+        code, out, err = run_cli(capsys, "eval", manifest, "--canonical-len", "19")
+        assert code == 1
+        assert out == ""
+        assert "error: too few rows for group_frac 0.05: 19" in err
 
     @pytest.mark.parametrize("value", ["nan", "abc"])
     def test_bad_ground_truth_value_fails_cell_exit_2(self, capsys, tmp_path, manifest, value):

@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import pytest
 
-from rrvision.config import RunConfig, apply_overrides
+from rrvision.config import BreathingConfig, RunConfig, apply_overrides
 from rrvision.synth import SynthConfig
 
 
@@ -50,3 +53,43 @@ class TestApplyOverrides:
         with pytest.raises(ValueError):
             apply_overrides(cfg, {"canny": {"sigma": 2.0, "low": "x"}}, "config")
         assert cfg.canny.low == 50.0
+
+
+class TestValidate:
+    def test_no_group_at_canonical_len_rejected(self):
+        cfg = RunConfig(canonical_len=19)  # groups of 0.95 rows
+        with pytest.raises(ValueError, match="too few rows for group_frac 0.05: 19"):
+            cfg.validate()
+
+    def test_group_count_must_be_whole_for_the_written_decimals(self):
+        # 0.3 / 0.09999999999 is 3.0000000003: whole within a float tolerance of 1e-9
+        cfg = RunConfig.from_dict({"breathing": {"top_frac": 0.3, "group_frac": 0.09999999999}})
+        with pytest.raises(ValueError, match="group_frac must divide top_frac"):
+            cfg.validate()
+
+    def test_groups_follow_rational_arithmetic_on_the_written_decimals(self):
+        fracs = [1e-05, 0.01, 0.02, 0.05, 0.07, 0.1, 0.15, 0.29, 0.3, 0.333, 0.57, 0.58, 1.0]
+        for group_frac in fracs:
+            group = Fraction(str(group_frac))
+            for top_frac in (f for f in fracs if f >= group_frac):
+                cfg = BreathingConfig(top_frac=top_frac, group_frac=group_frac)
+                n_groups = Fraction(str(top_frac)) / group
+                for n_rows in range(1, 301):
+                    size = math.floor(n_rows * group)
+                    if n_groups.denominator != 1 or size < 1:
+                        with pytest.raises(ValueError):
+                            cfg.groups(n_rows)
+                    else:
+                        assert cfg.groups(n_rows) == (size, int(n_groups))
+
+    @pytest.mark.parametrize("d, message", [
+        ({"rr_min": -1.0, "rr_max": 0.0}, "need 0 <= rr_min < rr_max"),
+        ({"smooth_s": -1.0}, "smooth_s must be >= 0"),
+    ])
+    def test_negative_breathing_values_rejected(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig.from_dict({"breathing": d}).validate()
+
+    @pytest.mark.parametrize("d", [{"rr_min": 0.0}, {"smooth_s": 0.0}])
+    def test_zero_breathing_values_accepted(self, d):
+        RunConfig.from_dict({"breathing": d}).validate()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rrvision import evaluate
 from rrvision.breathing import RRPrediction
 from rrvision.config import RunConfig
 from rrvision.evaluate import (
@@ -321,3 +322,14 @@ class TestManifestAndAblation:
         ]
         cells = ablation(specs, RunConfig(), modes=("edges",), fractions=(0.30,))
         assert "malformed ground-truth row" in cells[0].error
+
+    def test_ground_truth_read_before_its_pass(self, corpus, tmp_path, monkeypatch):
+        root, _, recs = corpus
+        specs = [RecordingSpec(root / r["video_path"], tmp_path / f"missing_{i}.csv",
+                               landmarks_path=root / r["landmarks_path"])
+                 for i, r in enumerate(recs[:2])]
+        passes = []
+        monkeypatch.setattr(evaluate, "run_recording", lambda *args: passes.append(args) or [])
+        cells = ablation(specs, RunConfig(), modes=("edges",), fractions=(0.05, 0.30))
+        assert passes == []
+        assert all("missing_0.csv" in c.error for c in cells)

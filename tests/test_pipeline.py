@@ -46,6 +46,15 @@ class TestRunStream:
         assert len(valid) >= 37
         assert np.mean([abs(p.rr_bpm - 15.0) for p in valid]) < 1.0
 
+    def test_config_with_no_group_rejected_before_any_read(self, cadence_recording, monkeypatch):
+        def no_read(*args):
+            raise AssertionError("the recording was opened")
+
+        monkeypatch.setattr(pipeline, "open_source", no_read)
+        with pytest.raises(ValueError, match="too few rows"):
+            next(run_stream(cadence_recording.video_path, RunConfig(canonical_len=19),
+                            landmarks_path=cadence_recording.landmarks_path))
+
     def test_missing_roi_source_rejected(self, cadence_recording):
         with pytest.raises(ValueError, match="fixed_roi or a landmark"):
             run_recording(cadence_recording.video_path, RunConfig())
