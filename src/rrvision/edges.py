@@ -26,6 +26,12 @@ The input is the crop as the reader gives it: the first float64 plane takes an
 RGB24 crop's exact channel mean, or a GRAY8 plane as it is. Masks are plain
 boolean arrays, True where a pixel participates in profile averaging. The planes
 in between are views of a CannyScratch, kept from one epoch start to the next.
+
+Every plane of a w-wide ROI has one row pitch, P = w + 2r for blur radius r, and
+each stage is ufunc calls on 1-D contiguous slices of the flat planes: a shift by
+(dy, dx) is the flat offset dy*P + dx. The P - w margin columns after each row hold
+finite values that no kept pixel reads (NMS's -inf border takes them in), and each
+range ends at the last value a pixel needs: no slice runs past (h + 2r)*P values.
 """
 
 from __future__ import annotations
@@ -56,17 +62,16 @@ class CannyScratch:
         return self._flat[:size], self._flat[size : 2 * size], self._flat[2 * size : 3 * size]
 
 
-def _shaped(plane: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The first h*w values of a flat plane as an (h, w) array."""
-    return plane[: h * w].reshape(h, w)
+def _grid(flat: np.ndarray, rows: int, pitch: int) -> np.ndarray:
+    """The first rows*pitch values of a flat plane as a (rows, pitch) array."""
+    return flat[: rows * pitch].reshape(rows, pitch)
 
 
 def _reflect_border(p: np.ndarray, r: int) -> np.ndarray:
     """Fill p's r-wide border from its interior, as np.pad(interior, r, mode="reflect").
 
-    Mirrors about the border pixel, so the interior must be more than r
-    pixels long on both axes. The rows go first, over the full width; the
-    column pass then overwrites their corners from filled rows.
+    Mirrors about the border pixel, so the interior must be more than r pixels long on
+    both axes. The rows go first, over the full width; the columns' corners copy them.
     """
     for q in (p, p.T):
         n = len(q)
@@ -82,14 +87,13 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _correlate1d(src: np.ndarray, kernel: np.ndarray, axis: int, out: np.ndarray,
-                 tmp: np.ndarray) -> np.ndarray:
-    """Correlation along axis wherever every tap falls inside src, into out; tmp is out's size."""
-    n = out.shape[axis]
-    taps = [src[j : j + n] if axis == 0 else src[:, j : j + n] for j in range(len(kernel))]
-    np.multiply(kernel[0], taps[0], out=out)
-    for kj, tap in zip(kernel[1:], taps[1:]):
-        out += np.multiply(kj, tap, out=tmp)
+def _taps(src: np.ndarray, kernel: np.ndarray, step: int, out: np.ndarray,
+          tmp: np.ndarray) -> np.ndarray:
+    """out[i] = sum of kernel[j] * src[i + j*step] over j, tap 0's first; tmp >= out's length."""
+    n = len(out)
+    np.multiply(kernel[0], src[:n], out=out)
+    for j in range(1, len(kernel)):
+        out += np.multiply(kernel[j], src[j * step : j * step + n], out=tmp[:n])
     return out
 
 
@@ -106,40 +110,49 @@ def _gray_into(img: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _blur(img: np.ndarray, kernel: np.ndarray, out: np.ndarray, planes) -> np.ndarray:
-    """img blurred into out, working in the three flat planes; out may lie in the first."""
+def _blur(img: np.ndarray, kernel: np.ndarray, planes, out: np.ndarray) -> np.ndarray:
+    """img blurred into the flat out at pitch P = w + 2r, pixel (y, x) at y*P + x.
+
+    planes take the padded gray plane, the column pass and the products; out may lie in the first.
+    """
     h, w = img.shape[:2]
     r = len(kernel) // 2
-    p0, p1, p2 = planes
-    padded = _shaped(p0, h + 2 * r, w + 2 * r)
+    pitch = w + 2 * r
+    padded = _grid(planes[0], h + 2 * r, pitch)
     _gray_into(img, padded[r : r + h, r : r + w])
     # mirror padding commutes with the column pass, so one pad serves both passes
-    cols = _correlate1d(_reflect_border(padded, r), kernel, 0,
-                        _shaped(p1, h, w + 2 * r), _shaped(p2, h, w + 2 * r))
-    return _correlate1d(cols, kernel, 1, out, _shaped(p2, h, w))
+    _reflect_border(padded, r)
+    cols = _taps(planes[0], kernel, pitch, planes[1][: h * pitch], planes[2])  # down the columns
+    return _taps(cols, kernel, 1, out[: h * pitch - 2 * r], planes[2])  # along the rows
 
 
 def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     k = gaussian_kernel(sigma)
-    h, w = img.shape[:2]
-    r = len(k) // 2
-    return _blur(img, k, np.empty((h, w)), CannyScratch().planes((h + 2 * r) * (w + 2 * r)))
+    (h, w), r = img.shape[:2], len(k) // 2
+    planes = CannyScratch().planes((h + 2 * r) * (w + 2 * r))
+    _blur(img, k, planes, planes[0])
+    return _grid(planes[0], h, w + 2 * r)[:, :w]
 
 
-def _sobel(p: np.ndarray, rows: np.ndarray, gx: np.ndarray, gy: np.ndarray):
-    """Sobel of p's interior, p padded by one pixel; rows is one pixel wider than gx.
+def _sobel(s: np.ndarray, h: int, w: int, pitch: int, rows: np.ndarray, gx: np.ndarray,
+           gy: np.ndarray):
+    """Sobel of an (h, w) plane at (y+1)*pitch + x+1 in the flat s, after filling its border.
 
-    gy may share memory with p: p is last read before gy is first written.
+    rows takes h*pitch values, gx and gy two fewer, pixel (y, x) at y*pitch + x.
+    gy may share memory with s: s is last read before gy is first written.
     """
-    above, below = p[:-2], p[2:]
-    np.multiply(2.0, p[1:-1], out=rows)  # [1,2,1] down every column, the pad columns included
+    _reflect_border(_grid(s, h + 2, pitch)[:, : w + 2], 1)
+    n = h * pitch
+    above, mid, below = s[:n], s[pitch : pitch + n], s[2 * pitch : 2 * pitch + n]
+    rows, gx, gy = rows[:n], gx[: n - 2], gy[: n - 2]
+    np.multiply(2.0, mid, out=rows)  # [1,2,1] down every column, the pad columns included
     rows += above
     rows += below
-    np.subtract(rows[:, 2:], rows[:, :-2], out=gx)
+    np.subtract(rows[2:], rows[:-2], out=gx)
     np.subtract(below, above, out=rows)  # [-1,0,1] down every column
-    np.multiply(2.0, rows[:, 1:-1], out=gy)
-    gy += rows[:, :-2]
-    gy += rows[:, 2:]
+    np.multiply(2.0, rows[1:-1], out=gy)
+    gy += rows[:-2]
+    gy += rows[2:]
     return gx, gy
 
 
@@ -154,57 +167,62 @@ def sobel_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     squares and the bins ignore.
     """
     h, w = img.shape
-    p = np.empty((h + 2, w + 2))
-    p[1:-1, 1:-1] = img
-    return _sobel(_reflect_border(p, 1), np.empty((h, w + 2)), np.empty((h, w)), np.empty((h, w)))
+    s, gx, gy = np.empty((h + 2) * (w + 2)), np.empty((h, w + 2)), np.empty((h, w + 2))
+    _grid(s, h + 2, w + 2)[1:-1, 1:-1] = img
+    _sobel(s, h, w, w + 2, np.empty(h * (w + 2)), gx.ravel(), gy.ravel())
+    return gx[:, :w], gy[:, :w]
 
 
-def quantize_orientation(gx: np.ndarray, gy: np.ndarray, ang: np.ndarray | None = None) -> np.ndarray:
-    """Gradient angle folded to [0, 180) and binned to 0/45/90/135 degrees.
-
-    The angle is worked out in `ang` when given, else in a new array.
-    """
-    ang = np.degrees(np.arctan2(gy, gx, out=ang), out=ang)
-    np.add(ang, 180.0, out=ang, where=ang < 0)
-    bins = (ang > 22.5).view(np.uint8)  # angle / 45: boundaries below it, & 3 (180 -> 0)
+def _fold_and_bin(ang: np.ndarray, bins: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Degrees ang folded in place to [0, 180), binned into uint8 bins; tmp: bools of ang's size."""
+    np.add(ang, 180.0, out=ang, where=np.less(ang, 0.0, out=tmp))
+    np.greater(ang, 22.5, out=bins.view(bool))  # angle / 45: boundaries below it, & 3 (180 -> 0)
     for bound in (67.5, 112.5, 157.5):
-        bins += ang > bound
+        bins += np.greater(ang, bound, out=tmp)
     bins &= 3
     return bins
 
 
-# Per bin: (first, second) neighbor offsets along the gradient direction.
+def quantize_orientation(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """Gradient angle folded to [0, 180) and binned to 0/45/90/135 degrees."""
+    ang = np.degrees(np.arctan2(gy, gx))
+    return _fold_and_bin(ang, np.empty(ang.shape, np.uint8), np.empty(ang.shape, bool))
+
+
+# Per bin: (first, second) neighbor offsets (dy, dx) along the gradient direction.
 # NMS keeps a pixel only if mag > mag[first] and mag >= mag[second].
-_NMS_NEIGHBORS = {
-    0: ((0, -1), (0, 1)),
-    1: ((-1, -1), (1, 1)),
-    2: ((-1, 0), (1, 0)),
-    3: ((-1, 1), (1, -1)),
-}
+_NMS_NEIGHBORS = (((0, -1), (0, 1)), ((-1, -1), (1, 1)), ((-1, 0), (1, 0)), ((-1, 1), (1, -1)))
 
 
-def _suppress(padded: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """NMS in place on padded's interior, after setting its one-pixel border to -inf."""
-    h, w = bins.shape
-    padded[0] = padded[-1] = -np.inf
-    padded[:, 0] = padded[:, -1] = -np.inf
-    mag = padded[1:-1, 1:-1]
+def _suppress(q: np.ndarray, h: int, w: int, pitch: int, bins: np.ndarray,
+              work: np.ndarray) -> np.ndarray:
+    """NMS in place on the flat q, after setting its border and margin to -inf; its (h, w) view.
 
-    def neighbor(dy: int, dx: int) -> np.ndarray:
-        return padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-
-    keep = np.zeros(mag.shape, dtype=bool)
-    for b, (first, second) in _NMS_NEIGHBORS.items():
-        keep |= (bins == b) & (mag > neighbor(*first)) & (mag >= neighbor(*second))
-    keep &= mag > 0
-    np.copyto(mag, 0.0, where=~keep)
-    return mag
+    Pixel (y, x) has its magnitude at (y+1)*pitch + x+1 and its bin at
+    y*pitch + x. work is a bool array of at least three times bins' length.
+    """
+    padded = _grid(q, h + 2, pitch)
+    padded[[0, h + 1]] = padded[:, [0]] = padded[:, w + 1 :] = -np.inf
+    n = (h - 1) * pitch + w  # pixel (0, 0) to pixel (h-1, w-1)
+    mag = q[pitch + 1 : pitch + 1 + n]
+    keep, sel, cmp = work[:n], work[n : 2 * n], work[2 * n : 3 * n]
+    keep.fill(False)
+    for b, ((fy, fx), (sy, sx)) in enumerate(_NMS_NEIGHBORS):
+        np.equal(bins[:n], b, out=sel)
+        sel &= np.greater(mag, q[(1 + fy) * pitch + 1 + fx :][:n], out=cmp)
+        sel &= np.greater_equal(mag, q[(1 + sy) * pitch + 1 + sx :][:n], out=cmp)
+        keep |= sel
+    keep &= np.greater(mag, 0.0, out=cmp)
+    np.copyto(mag, 0.0, where=np.logical_not(keep, out=keep))
+    return padded[1 : h + 1, 1 : w + 1]
 
 
 def non_maximum_suppression(mag: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    padded = np.empty((mag.shape[0] + 2, mag.shape[1] + 2))
-    padded[1:-1, 1:-1] = mag
-    return _suppress(padded, bins)
+    h, w = mag.shape
+    q, flat_bins = np.empty((h + 2) * (w + 2)), np.zeros((h, w + 2), np.uint8)
+    _grid(q, h + 2, w + 2)[1:-1, 1:-1] = mag
+    flat_bins[:, :w] = bins
+    return _suppress(q, h, w, w + 2, flat_bins.ravel(), np.empty(q.size * 3, bool))
 
 
 def hysteresis(mag: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -236,31 +254,30 @@ def canny(roi: np.ndarray, cfg: CannyConfig | None = None,
     if min(h, w) < 2 * radius + 1:
         raise ValueError(f"ROI {w}x{h} is smaller than the kernel support {2 * radius + 1}")
 
-    # What the planes p0 | p1 | p2 hold, stage by stage:
-    #   blur       padded gray ROI | column pass | pass scratch; the row pass
-    #              writes into the interior of the Sobel input, in p0
+    # What the planes p0 | p1 | p2 hold at row pitch P, stage by stage:
+    #   blur       padded gray ROI | column pass | products; the row pass writes the
+    #              Sobel input's interior, at offset P + 1 in p0
     #   Sobel      Sobel input, then gy | Sobel rows | gx
-    #   angle      gy | angle | gx
-    #   magnitude  gy*gy | magnitude inside NMS's -inf border | gx
-    planes = (scratch or CannyScratch()).planes((h + 2 * radius) * (w + 2 * radius))
+    #   magnitude  gy, then gy*gy | gx*gx, then the magnitude, at offset P + 1 | gx's angle
+    #   NMS        bytes: the bins, then NMS's masks | magnitude in a -inf border | angle
+    pitch = w + 2 * radius
+    planes = (scratch or CannyScratch()).planes((h + 2 * radius) * pitch)
     p0, p1, p2 = planes
-    sob = _shaped(p0, h + 2, w + 2)
-    _blur(roi, gaussian_kernel(cfg.sigma), sob[1:-1, 1:-1], planes)
-    gx, gy = _sobel(_reflect_border(sob, 1), _shaped(p1, h, w + 2), _shaped(p2, h, w),
-                    _shaped(p0, h, w))
-    bins = quantize_orientation(gx, gy, _shaped(p1, h, w))
-    padded = _shaped(p1, h + 2, w + 2)
-    mag = padded[1:-1, 1:-1]
+    _blur(roi, gaussian_kernel(cfg.sigma), planes, p0[pitch + 1 :])
+    n = (h - 1) * pitch + w  # pixel (0, 0) to pixel (h-1, w-1)
+    gx, gy = (g[:n] for g in _sobel(p0, h, w, pitch, p1, p2, p0))
+    mag = p1[pitch + 1 : pitch + 1 + n]
     np.multiply(gx, gx, out=mag)
+    ang = np.degrees(np.arctan2(gy, gx, out=gx), out=gx)  # gx is dead once squared
     mag += np.multiply(gy, gy, out=gy)
     np.sqrt(mag, out=mag)
-    nms = _suppress(padded, bins)
+    work = p0.view(bool)  # gy is dead too
+    bins = _fold_and_bin(ang, work[:n].view(np.uint8), work[n : 2 * n])
+    nms = _suppress(p1, h, w, pitch, bins, work[n:])
 
     # pixels within the blur radius of the border never become edges
-    nms[:radius, :] = 0.0
-    nms[-radius:, :] = 0.0
-    nms[:, :radius] = 0.0
-    nms[:, -radius:] = 0.0
+    nms[:radius] = nms[-radius:] = 0.0
+    nms[:, :radius] = nms[:, -radius:] = 0.0
 
     return hysteresis(nms, cfg.low, cfg.high)
 
@@ -269,17 +286,10 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     """Morphological dilation with a (2r+1)x(2r+1) square, clipped at borders."""
     if radius < 0:
         raise ValueError("dilation radius must be >= 0")
-    if radius == 0:
-        return mask.copy()
     out = mask.copy()
-    for axis in (0, 1):  # square SE is separable into two 1D runs
-        acc = out.copy()
+    for q in (out, out.T):  # square SE is separable into two 1D runs
+        src = q.copy(order="K")
         for r in range(1, radius + 1):
-            sl_dst = [slice(None), slice(None)]
-            sl_src = [slice(None), slice(None)]
-            sl_dst[axis], sl_src[axis] = slice(r, None), slice(None, -r)
-            acc[tuple(sl_dst)] |= out[tuple(sl_src)]
-            sl_dst[axis], sl_src[axis] = slice(None, -r), slice(r, None)
-            acc[tuple(sl_dst)] |= out[tuple(sl_src)]
-        out = acc
+            q[r:] |= src[:-r]
+            q[:-r] |= src[r:]
     return out

@@ -12,6 +12,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import rrvision
-from rrvision.config import CannyConfig
+from rrvision.config import MIN_ROI_SIDE, CannyConfig
 from rrvision.edges import (
     CannyScratch,
     _gray_into,
@@ -350,6 +351,24 @@ class TestCannyAgainstOracle:
         assert gaussian_blur(img, 1.4) == pytest.approx(img)
 
 
+class TestOneCore:
+    @pytest.mark.parametrize("sigma", [0.5, 1.4, 2.0])
+    def test_public_stages_compose_to_canny(self, sigma):
+        """The stages, called one by one, give canny's mask bit for bit."""
+        cfg = CannyConfig(sigma=sigma, low=15.0, high=45.0)
+        r = math.ceil(3 * sigma)
+        rng = np.random.default_rng(int(10 * sigma))
+        rgb = rng.integers(0, 256, size=(7, 9, 3), dtype=np.uint8).repeat(6, axis=0).repeat(6, axis=1)
+        for img in (rng.uniform(0.0, 255.0, (33, 47)), blocks(40, 53, r), rgb[1:40, 2:51]):
+            gx, gy = sobel_gradients(gaussian_blur(img, sigma))
+            nms = non_maximum_suppression(np.sqrt(gx * gx + gy * gy), quantize_orientation(gx, gy))
+            nms[:r] = nms[-r:] = 0.0
+            nms[:, :r] = nms[:, -r:] = 0.0
+            mask = hysteresis(nms, cfg.low, cfg.high)
+            assert mask.any()
+            assert np.array_equal(mask, canny(img, cfg))
+
+
 class TestCannyScratch:
     def test_reused_across_roi_shapes(self):
         cfg = CannyConfig()
@@ -362,6 +381,38 @@ class TestCannyScratch:
             assert mask.any()
             assert np.array_equal(mask, canny(images[shape], cfg))
             assert np.array_equal(mask, oracles[shape])
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 1.4, 2.0, 2.5])  # blur radius 1, 3, 5, 6 and 8
+    def test_dirty_scratch_at_the_smallest_sides(self, sigma):
+        """A scratch full of NaN and infinities, or left by a larger ROI, changes no mask bit.
+
+        The sides run from the smallest that canny accepts, odd widths included, so
+        the flat ranges end right at the planes' last rows and margin columns.
+        """
+        cfg = CannyConfig(sigma=sigma, low=20.0, high=40.0)
+        r = math.ceil(3 * sigma)
+        side = max(2 * r + 1, MIN_ROI_SIDE)
+        rng = np.random.default_rng(r)
+        shapes = [(side, side), (side, side + 3), (side + 5, side), (side + 2, 2 * side + 1)]
+        noise = CannyScratch()
+        for plane in noise.planes(3 * (side + 2 * r + 5) * (2 * side + 2 * r + 1)):
+            plane[0::3], plane[1::3], plane[2::3] = np.nan, np.inf, -np.inf
+        larger = CannyScratch()
+        canny(blocks(3 * side, 4 * side + 1, r), cfg, larger)
+        for h, w in shapes:
+            levels = rng.integers(0, 256, size=(h // 3 + 1, w // 3 + 1, 3), dtype=np.uint8)
+            rgb = np.ascontiguousarray(levels.repeat(3, axis=0).repeat(3, axis=1)[:h, :w])
+            gray = (rgb[..., 0].astype(np.float64) + rgb[..., 1] + rgb[..., 2]) / 3.0
+            for roi, plane in ((rgb[..., 1], rgb[..., 1]), (rgb, gray),
+                               (gray + rng.normal(0.0, 2.0, gray.shape),) * 2):
+                want = oracle_canny(plane, cfg)
+                assert np.array_equal(canny(roi, cfg, CannyScratch()), want)
+                with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                            invalid="raise"):
+                    warnings.simplefilter("error")
+                    assert np.array_equal(canny(roi, cfg, noise), want)
+                    assert np.array_equal(canny(roi, cfg, larger), want)
+        assert want.any()
 
     @pytest.mark.parametrize("r", [1, 3, 5, 6])
     def test_reflect_border_equals_np_pad(self, r):
