@@ -28,6 +28,8 @@ class ScheduleConfig:
     reest_s: float = 20.0
 
     def validate(self) -> None:
+        if self.step_s <= 0:
+            raise ValueError("step_s must be positive")
         if self.window_s < 2 * self.step_s:
             raise ValueError("window_s must be at least 2*step_s")
         if self.reest_s <= 0:
@@ -59,6 +61,10 @@ class RoiGeometryConfig:
     k_w: float = 1.0
     k_top: float = 0.5
     k_h: float = 1.5
+
+    def validate(self) -> None:
+        if not (self.k_w > 0 and self.k_h > 0):
+            raise ValueError("k_w and k_h must be positive")
 
 
 @dataclass
@@ -117,6 +123,7 @@ class RunConfig:
     def validate(self) -> None:
         self.schedule.validate()
         self.canny.validate()
+        self.geometry.validate()
         self.breathing.validate()
         if self.profile_mode not in PROFILE_MODES:
             raise ValueError(f"unknown profile_mode {self.profile_mode!r}")

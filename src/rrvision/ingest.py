@@ -104,18 +104,6 @@ class VideoMeta:
         return f"frame_{index:06d}.{_LAYOUTS[self.pixel_format][2]}"
 
 
-@dataclass
-class FrameBuffer:
-    """One decoded frame; data is row-major uint8, shape (h, w, 3) or (h, w).
-
-    data is read-only. From a raw file it is a view of the mapped file, valid
-    for as long as it is held; a file rewritten in place changes it.
-    """
-
-    index: int
-    data: np.ndarray
-
-
 _MANIFEST_KEYS = {f.name for f in dataclasses.fields(VideoMeta)}
 
 
@@ -180,13 +168,16 @@ def side_file(video_path, name: str) -> Path:
     return (path if path.is_dir() else path.parent) / name
 
 
-def open_source(path) -> tuple[VideoMeta, Iterator[FrameBuffer]]:
+def open_source(path) -> tuple[VideoMeta, Iterator[np.ndarray]]:
     """Open a frame source, returning its metadata and a frame iterator.
 
     ``path`` may be a directory of PPM/PGM frames plus a manifest, or a raw
     ``.rgb24`` / ``.gray8`` file with a sibling manifest. Frames are yielded
-    in ascending index order and the stream ends exactly at ``frame_count``;
-    each has the manifest's ``frame_shape``.
+    in ascending index order, so the i-th array yielded is frame i, and the
+    stream ends exactly at ``frame_count``. A frame is a read-only, row-major
+    uint8 array of the manifest's ``frame_shape``: (h, w, 3) or (h, w). From a
+    raw file it is a view of the mapped file, valid for as long as it is held;
+    a file rewritten in place changes it.
     The iterator is single-consumer and lazy: it opens no frame data before
     its first ``next()``, so closing it before then opens nothing.
 
@@ -209,7 +200,7 @@ def _frame_index(name: str, meta: VideoMeta) -> Optional[int]:
     return int(m[1]) if m and name == meta.frame_name(int(m[1])) else None
 
 
-def _open_image_dir(dirpath: Path, meta: VideoMeta) -> Iterator[FrameBuffer]:
+def _open_image_dir(dirpath: Path, meta: VideoMeta) -> Iterator[np.ndarray]:
     indices = sorted(i for p in dirpath.iterdir() if (i := _frame_index(p.name, meta)) is not None)
     if indices != list(range(meta.frame_count)):
         raise ValueError(
@@ -217,17 +208,17 @@ def _open_image_dir(dirpath: Path, meta: VideoMeta) -> Iterator[FrameBuffer]:
             f"found {len(indices)} frames, manifest says {meta.frame_count}"
         )
 
-    def frames() -> Iterator[FrameBuffer]:
+    def frames() -> Iterator[np.ndarray]:
         for i in range(meta.frame_count):
             data = read_pnm(dirpath / meta.frame_name(i))
             if data.shape != meta.frame_shape:
                 raise ValueError(f"manifest/frame size mismatch at frame {i}: {data.shape}")
-            yield FrameBuffer(index=i, data=data)
+            yield data
 
     return frames()
 
 
-def _open_raw(filepath: Path, meta: VideoMeta) -> Iterator[FrameBuffer]:
+def _open_raw(filepath: Path, meta: VideoMeta) -> Iterator[np.ndarray]:
     if meta.raw_suffix != filepath.suffix:
         raise ValueError(f"manifest pixel_format {meta.pixel_format} "
                          f"does not match {filepath.suffix}")
@@ -236,7 +227,7 @@ def _open_raw(filepath: Path, meta: VideoMeta) -> Iterator[FrameBuffer]:
     if actual != expected:
         raise ValueError(f"size mismatch: {filepath.name} has {actual} bytes, expected {expected}")
 
-    def frames() -> Iterator[FrameBuffer]:
+    def frames() -> Iterator[np.ndarray]:
         n, shape = meta.frame_bytes, meta.frame_shape
         with open(filepath, "rb") as fh:
             fd, mm, released = fh.fileno(), None, 0
@@ -245,8 +236,7 @@ def _open_raw(filepath: Path, meta: VideoMeta) -> Iterator[FrameBuffer]:
                     raise ValueError(f"size mismatch reading frame {i}")
                 if mm is None:  # mapped once frame 0 fits: mmap refuses an empty file
                     mm = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-                data = np.frombuffer(mm, np.uint8, n, i * n).reshape(shape)
-                yield FrameBuffer(index=i, data=data)
+                yield np.frombuffer(mm, np.uint8, n, i * n).reshape(shape)
                 # frames 0..i are consumed: release their whole pages, never closing
                 # the map under live views (reference counting frees it)
                 done = (i + 1) * n // mmap.PAGESIZE * mmap.PAGESIZE

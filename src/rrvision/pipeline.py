@@ -2,11 +2,12 @@
 
 Per frame: crop the ROI, take the uint8 crop's masked row means, resample
 them and push the profile into the window. The window's MotionBuffer owns the
-frame schedule; when it says the next column starts an epoch, the ROI is
-re-estimated first, and the crop's mask and row plan are built: the dilated
-Canny edges of the uint8 crop in edges mode, every pixel in full_roi mode.
-Canny makes the crop's grayscale plane itself, so only edges-mode epoch
-starts convert a crop to grayscale.
+frame schedule and counts the frames: when it says the next column starts an
+epoch, one block looks the ROI up at its column count, crops the frame and
+builds the crop's mask and row plan: the dilated Canny edges of the uint8
+crop in edges mode, every pixel in full_roi mode. The lookup, landmarks or a
+fixed rectangle, is chosen once per stream. Canny makes the crop's grayscale
+plane itself, so only edges-mode epoch starts convert a crop to grayscale.
 Whenever the window emits a snapshot the breathing analysis runs on it and a
 prediction is yielded. When the caller passes a StageTimings, wall time is
 recorded per frame and per window so the CLI can report and tests can assert
@@ -78,7 +79,13 @@ def run_stream(
     if (fixed_roi is None) == (landmarks_path is None):
         both = ", not both" if fixed_roi is not None else ""
         raise ValueError(f"need fixed_roi or a landmark file{both}")
-    landmarks_at = load_landmark_track(landmarks_path) if fixed_roi is None else None
+    # the ROI lookup, chosen once: frame index -> rectangle; a fixed one is clamped once
+    if fixed_roi is None:
+        landmarks_at = load_landmark_track(landmarks_path)
+        roi_at = lambda i: roi_from_landmarks(landmarks_at(i), meta, cfg.geometry)
+    else:
+        fixed_rect = RoiRect(*fixed_roi).clamped(meta)
+        roi_at = lambda i: fixed_rect
 
     buffer = MotionBuffer(cfg.canonical_len, meta.fps, cfg.schedule)
     scratch = CannyScratch()  # Canny's planes, reused at every epoch start
@@ -89,19 +96,16 @@ def run_stream(
         frame = next(frames, None)
         if frame is None:
             return
-        epoch_start = buffer.epoch_start
-        if epoch_start:
-            if fixed_roi is not None:
-                roi_rect = RoiRect(*fixed_roi).clamped(meta)
-            else:
-                roi_rect = roi_from_landmarks(landmarks_at(frame.index), meta, cfg.geometry)
-        pixels = roi_rect.crop(frame.data)
-        if epoch_start:
+        if buffer.epoch_start:  # the buffer's column count is this frame's index
+            roi_rect = roi_at(buffer.count)
+            pixels = roi_rect.crop(frame)
             if cfg.profile_mode == "edges":
                 mask = dilate(canny(pixels, cfg.canny, scratch), cfg.canny.dilation_radius)
             else:
                 mask = np.ones(pixels.shape[:2], dtype=bool)
             plan = plan_rows(mask, cfg.canonical_len, meta.channels)
+        else:
+            pixels = roi_rect.crop(frame)
 
         event = buffer.push_profile(extract_profile(pixels, plan))
         if timings is not None:

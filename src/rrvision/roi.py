@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .config import MIN_ROI_SIDE, RoiGeometryConfig
 from .ingest import VideoMeta, read_step_hold, step_hold, write_step_hold
@@ -19,7 +19,6 @@ LANDMARK_HEADER = ["frame", "chin_x", "chin_y", "lear_x", "lear_y", "rear_x", "r
 
 @dataclass(frozen=True)
 class LandmarkSet:
-    frame_index: int
     chin: tuple[float, float]
     left_ear: tuple[float, float]
     right_ear: tuple[float, float]
@@ -85,7 +84,7 @@ def roi_from_landmarks(
 def _landmark_row(fields: list[str]) -> tuple[int, LandmarkSet]:
     frame = int(fields[0])
     cx, cy, lx, ly, rx, ry = map(float, fields[1:])  # a wrong field count raises
-    return frame, LandmarkSet(frame, (cx, cy), (lx, ly), (rx, ry))  # so does a non-finite value
+    return frame, LandmarkSet((cx, cy), (lx, ly), (rx, ry))  # so does a non-finite value
 
 
 def load_landmark_track(path) -> Callable[[int], LandmarkSet]:
@@ -93,6 +92,7 @@ def load_landmark_track(path) -> Callable[[int], LandmarkSet]:
     return step_hold(read_step_hold(path, "landmark", LANDMARK_HEADER, _landmark_row), "landmarks")
 
 
-def write_landmark_track(path, records: list[LandmarkSet]) -> None:
+def write_landmark_track(path, rows: Iterable[tuple[int, LandmarkSet]]) -> None:
+    """Write the (frame, LandmarkSet) rows that load_landmark_track reads back."""
     write_step_hold(path, LANDMARK_HEADER,
-                    ([r.frame_index, *r.chin, *r.left_ear, *r.right_ear] for r in records))
+                    ([frame, *lm.chin, *lm.left_ear, *lm.right_ear] for frame, lm in rows))

@@ -80,8 +80,11 @@ class SynthConfig:
         for _, rr in self.rr_segments:
             if not RR_FLOOR <= rr <= RR_CEIL:
                 raise ValueError(f"rr {rr} outside [{RR_FLOOR}, {RR_CEIL}] BPM")
-        if self.amplitude_px < 0:
-            raise ValueError("amplitude_px must be >= 0")
+        for name in ("amplitude_px", "noise_sigma", "walk_amplitude", "texture_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0 <= self.walk_row_frac <= 1:
+            raise ValueError("walk_row_frac must be in [0, 1]")
         if self.container not in CONTAINERS:
             raise ValueError(f"unknown container {self.container!r}")
         if not 0 < self.chest_width_frac <= 1:
@@ -133,7 +136,6 @@ def scene_geometry(cfg: SynthConfig) -> SceneGeometry:
     chin_y = round(cfg.height * 0.25)
     ear_y = max(2, chin_y - round(0.3 * wf))
     lm = LandmarkSet(
-        frame_index=0,
         chin=(float(mid_x), float(chin_y)),
         left_ear=(mid_x - wf / 2.0, float(ear_y)),
         right_ear=(mid_x + wf / 2.0, float(ear_y)),
@@ -182,6 +184,9 @@ class _Scene:
             roi = self.geom.roi
             rows = np.arange(roi.y, roi.y + roi.h)
             eligible = rows[np.abs(rows - self.geom.boundary_y) > self.geom.quiet_half + 1]
+            if n_walk > len(eligible):
+                raise ValueError(f"walk_row_frac {cfg.walk_row_frac} needs {n_walk} rows, but "
+                                 f"only {len(eligible)} ROI rows are away from the boundary")
             walk_rng = np.random.default_rng([cfg.texture_seed, 1])
             self.walk_rows = np.sort(walk_rng.choice(eligible, size=n_walk, replace=False))
             m = round(20.0 * cfg.fps)
@@ -248,12 +253,12 @@ class _Scene:
 def generate(cfg: SynthConfig, out_path) -> SynthDataset:
     """Render a recording to disk: frames, manifest, ground truth, landmarks."""
     cfg.validate()
+    scene = _Scene(cfg)  # it may still reject the walk rows: before any file is made
     out_dir = Path(out_path)
     if out_dir.exists() and any(out_dir.iterdir()):
         raise ValueError(f"output path {out_dir} exists and is not empty")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    scene = _Scene(cfg)
     meta = cfg.meta
     write_manifest(out_dir / MANIFEST_NAME, meta)
 
@@ -271,12 +276,12 @@ def generate(cfg: SynthConfig, out_path) -> SynthDataset:
     write_step_hold(gt_path, GROUND_TRUTH_HEADER, cfg.rr_segments)
 
     lm_path = out_dir / LANDMARKS_NAME
-    records = [scene.geom.landmarks]
+    rows = [(0, scene.geom.landmarks)]
     if scene.jump_frame is not None and 0 < scene.jump_frame < cfg.frame_count:
         lm0 = scene.geom.landmarks  # the jump moves every landmark down with the content
         shifted = ((x, y + _JUMP_DY_PX) for x, y in (lm0.chin, lm0.left_ear, lm0.right_ear))
-        records.append(LandmarkSet(scene.jump_frame, *shifted))
-    write_landmark_track(lm_path, records)
+        rows.append((scene.jump_frame, LandmarkSet(*shifted)))
+    write_landmark_track(lm_path, rows)
 
     return SynthDataset(
         out_dir=out_dir,

@@ -50,7 +50,11 @@ class MotionBuffer:
         self._head = 0  # next write position
         self._count = 0  # total columns pushed
         self._offset = np.zeros(n_rows, dtype=np.float64)
-        self._last_column: Optional[np.ndarray] = None
+
+    @property
+    def count(self) -> int:
+        """Columns pushed so far: the index of the frame whose column comes next."""
+        return self._count
 
     @property
     def epoch_start(self) -> bool:
@@ -70,14 +74,13 @@ class MotionBuffer:
 
         raw = np.asarray(values, dtype=np.float64)
         if self._count > 0 and self.epoch_start:
-            # this order of operations fixes the output bits; raw - last rounds differently
-            self._offset = self._offset + ((raw - self._offset) - self._last_column)
+            # the previous column is left of the head, at -1 once the head wraps to 0; this
+            # order of operations fixes the output bits; raw - last rounds differently
+            self._offset = self._offset + ((raw - self._offset) - self._ring[:, self._head - 1])
 
-        column = raw - self._offset
-        self._ring[:, self._head] = column
+        self._ring[:, self._head] = raw - self._offset
         self._head = (self._head + 1) % self.n_cols
         self._count += 1
-        self._last_column = column
 
         if self._count >= self.n_cols and (self._count - self.n_cols) % self.step_frames == 0:
             return self.snapshot()

@@ -80,6 +80,10 @@ class TestRun:
         (["--canonical-len", "19", "--dump-config"], "too few rows for group_frac 0.05: 19"),
         (["--rr-min", "-1", "--rr-max", "0"], "need 0 <= rr_min < rr_max"),
         (["--smooth-s", "-1"], "smooth_s must be >= 0"),
+        (["--step-s", "0"], "step_s must be positive"),
+        (["--step-s", "-1", "--dump-config"], "step_s must be positive"),
+        (["--k-w", "0", "--dump-config"], "k_w and k_h must be positive"),
+        (["--k-h", "-1"], "k_w and k_h must be positive"),
     ])
     def test_bad_breathing_config_exits_1_before_any_read(self, capsys, tmp_path, monkeypatch,
                                                           cadence_recording, flags, message):
@@ -259,6 +263,13 @@ class TestSynthCommand:
         code, _, err = run_cli(capsys, "synth", tmp_path / "rec", "--rr-segments", "0:60")
         assert code == 1
         assert "error" in err
+
+    def test_negative_noise_exits_1_before_disk(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "synth", tmp_path / "rec", "--noise-sigma", "-1")
+        assert code == 1
+        assert out == ""
+        assert "error: noise_sigma must be >= 0" in err
+        assert not (tmp_path / "rec").exists()
 
     @pytest.mark.parametrize("segments", ["15", "0:15:3", "a:15", "0:15,"])
     def test_malformed_rr_segments_exit_1(self, capsys, tmp_path, segments):

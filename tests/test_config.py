@@ -93,3 +93,17 @@ class TestValidate:
     @pytest.mark.parametrize("d", [{"rr_min": 0.0}, {"smooth_s": 0.0}])
     def test_zero_breathing_values_accepted(self, d):
         RunConfig.from_dict({"breathing": d}).validate()
+
+    @pytest.mark.parametrize("step_s", [0.0, -1.0])
+    def test_non_positive_step_rejected(self, step_s):
+        with pytest.raises(ValueError, match="^step_s must be positive$"):
+            RunConfig.from_dict({"schedule": {"step_s": step_s}}).validate()
+
+    @pytest.mark.parametrize("d", [{"k_w": 0.0}, {"k_w": -1.0}, {"k_h": 0.0}, {"k_h": -1.0}])
+    def test_non_positive_roi_size_factor_rejected(self, d):
+        with pytest.raises(ValueError, match="^k_w and k_h must be positive$"):
+            RunConfig.from_dict({"geometry": d}).validate()
+
+    @pytest.mark.parametrize("k_top", [0.0, -0.5])
+    def test_k_top_is_free(self, k_top):
+        RunConfig.from_dict({"geometry": {"k_top": k_top}}).validate()

@@ -55,6 +55,23 @@ class TestRunStream:
             next(run_stream(cadence_recording.video_path, RunConfig(canonical_len=19),
                             landmarks_path=cadence_recording.landmarks_path))
 
+    def test_fixed_roi_is_clamped_before_the_first_frame(self, cadence_recording, monkeypatch):
+        open_source = pipeline.open_source
+
+        def frameless_source(path):
+            meta, frames = open_source(path)
+            frames.close()
+
+            def no_frame():
+                raise AssertionError("a frame was read")
+                yield
+
+            return meta, no_frame()
+
+        monkeypatch.setattr(pipeline, "open_source", frameless_source)
+        with pytest.raises(ValueError, match="^ROI smaller than 8x8 after clamping to frame$"):
+            next(run_stream(cadence_recording.video_path, RunConfig(), fixed_roi=(156, 0, 8, 8)))
+
     def test_missing_roi_source_rejected(self, cadence_recording):
         with pytest.raises(ValueError, match="fixed_roi or a landmark"):
             run_recording(cadence_recording.video_path, RunConfig())

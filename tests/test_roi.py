@@ -15,8 +15,8 @@ from rrvision.roi import (
 )
 
 
-def lm(chin=(100.0, 100.0), lear=(80.0, 90.0), rear=(120.0, 90.0), frame=0):
-    return LandmarkSet(frame_index=frame, chin=chin, left_ear=lear, right_ear=rear)
+def lm(chin=(100.0, 100.0), lear=(80.0, 90.0), rear=(120.0, 90.0)):
+    return LandmarkSet(chin=chin, left_ear=lear, right_ear=rear)
 
 
 def meta(w=320, h=240):
@@ -86,9 +86,9 @@ class TestLandmarkTrack:
         p = tmp_path / "lm.csv"
         _write_csv(p, [(0, 100, 100, 80, 90, 120, 90), (600, 110, 100, 90, 90, 130, 90)])
         landmarks_at = load_landmark_track(p)
-        assert landmarks_at(599).frame_index == 0
-        assert landmarks_at(600).frame_index == 600
-        assert landmarks_at(10_000).frame_index == 600
+        assert landmarks_at(599) == lm()
+        assert landmarks_at(600) == lm(chin=(110.0, 100.0), lear=(90.0, 90.0), rear=(130.0, 90.0))
+        assert landmarks_at(10_000) == landmarks_at(600)
 
     def test_lookup_before_first(self, tmp_path):
         p = tmp_path / "lm.csv"
@@ -101,7 +101,7 @@ class TestLandmarkTrack:
         _write_csv(p, [(0, 100, 100, 80, 90, 120, 90)])
         landmarks_at = load_landmark_track(p)
         for idx in (0, 1, 599, 10**6):
-            assert landmarks_at(idx).frame_index == 0
+            assert landmarks_at(idx) == lm()
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "lm.csv"
@@ -135,9 +135,9 @@ class TestLandmarkTrack:
             load_landmark_track(p)
 
     def test_write_read_round_trip(self, tmp_path):
-        records = [lm(frame=0), lm(frame=600, chin=(101.5, 102.25))]
+        rows = [(0, lm()), (600, lm(chin=(101.5, 102.25)))]
         p = tmp_path / "lm.csv"
-        write_landmark_track(p, records)
+        write_landmark_track(p, rows)
         landmarks_at = load_landmark_track(p)
-        assert landmarks_at(0) == records[0]
-        assert landmarks_at(600) == records[1]
+        assert landmarks_at(0) == landmarks_at(599) == rows[0][1]
+        assert landmarks_at(600) == rows[1][1]

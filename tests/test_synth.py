@@ -48,6 +48,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="amplitude"):
             small_cfg(amplitude_px=-1.0).validate()
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"noise_sigma": -0.5}, "noise_sigma must be >= 0"),
+        ({"walk_row_frac": -0.1}, r"walk_row_frac must be in \[0, 1\]"),
+        ({"walk_row_frac": 1.5}, r"walk_row_frac must be in \[0, 1\]"),
+        ({"walk_amplitude": -1.0}, "walk_amplitude must be >= 0"),
+        ({"texture_seed": -1}, "texture_seed must be >= 0"),
+    ])
+    def test_bad_scene_values_named_before_disk(self, tmp_path, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(small_cfg(**bad), tmp_path / "rec")
+        assert not (tmp_path / "rec").exists()
+
+    def test_more_walk_rows_than_the_roi_holds_named_before_disk(self, tmp_path):
+        with pytest.raises(ValueError, match="^walk_row_frac 0.8 needs .* rows, but only "):
+            generate(small_cfg(walk_row_frac=0.8, walk_amplitude=10.0), tmp_path / "rec")
+        assert not (tmp_path / "rec").exists()
+
+    @pytest.mark.parametrize("edge", [{"noise_sigma": 0.0}, {"walk_row_frac": 0.0},
+                                      {"walk_row_frac": 1.0}, {"walk_amplitude": 0.0},
+                                      {"texture_seed": 0}])
+    def test_scene_values_at_their_bounds_accepted(self, edge):
+        small_cfg(**edge).validate()
+
     def test_phase_is_continuous_across_segments(self):
         cfg = small_cfg(rr_segments=[(0.0, 15.0), (30.0, 20.0)])
         eps = 1e-6
@@ -100,8 +123,8 @@ class TestGenerate:
         ds = make_recording(tmp_path / "rec", duration_s=0.5, pixel_format="RGB24")
         _, frames = open_source(ds.video_path)
         f = next(iter(frames))
-        assert np.array_equal(f.data[:, :, 0], f.data[:, :, 1])
-        assert np.array_equal(f.data[:, :, 0], f.data[:, :, 2])
+        assert np.array_equal(f[:, :, 0], f[:, :, 1])
+        assert np.array_equal(f[:, :, 0], f[:, :, 2])
 
 
 class TestSceneGeometry:
@@ -121,8 +144,9 @@ class TestSceneGeometry:
     def test_jump_writes_second_landmark_record(self, tmp_path):
         ds = make_recording(tmp_path / "rec", duration_s=2.0, roi_jump_at_s=1.0)
         landmarks_at = load_landmark_track(ds.landmarks_path)
-        first, second = landmarks_at(0), landmarks_at(60)
-        assert second.frame_index == 30
+        first, second = landmarks_at(0), landmarks_at(30)
+        assert landmarks_at(29) == first
+        assert landmarks_at(60) == second
         assert second.chin[1] - first.chin[1] == 6.0
 
 

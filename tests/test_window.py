@@ -139,6 +139,26 @@ class TestStitching:
         assert window[10] == 9.0
         assert window[11] == 10.0
 
+    def test_epoch_opening_as_the_head_wraps_continues_the_last_column(self):
+        # 20 columns and 20-frame epochs: every epoch's first column is written at
+        # ring slot 0, so the column it continues is the ring's last slot
+        buf = MotionBuffer(2, 10.0, ScheduleConfig(window_s=2.0, step_s=1.0, reest_s=2.0))
+        assert buf.epoch_frames % buf.n_cols == 0
+        rng = np.random.default_rng(3)
+        levels = np.repeat([0.0, 50.0, -80.0], 20)[:, None]  # each epoch jumps
+        raw = rng.uniform(-10, 10, size=(60, 2)) + levels
+        events = push_columns(buf, list(raw))
+        assert [i for i, _ in events] == [19, 29, 39, 49, 59]
+        model, offset = [], np.zeros(2)  # brute force, in the buffer's order of operations
+        for i, col in enumerate(raw):
+            if i in (20, 40):
+                offset = offset + ((col - offset) - model[-1])
+            model.append(col - offset)
+        for i, window in events:
+            assert np.array_equal(window.matrix, np.stack(model[i - 19 : i + 1], axis=1))
+        for i, window in events[1::2]:  # columns i-19..i, an epoch opening at index 10
+            assert window.matrix[:, 10] == pytest.approx(window.matrix[:, 9], abs=1e-12)
+
     def test_preserves_within_epoch_first_differences(self):
         rng = np.random.default_rng(1)
         raw = rng.uniform(0, 50, size=(2, 40))
