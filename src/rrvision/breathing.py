@@ -10,15 +10,15 @@ series is steadiest wins, and its mean is the prediction for the window.
 
 Peak picking is array code per wave: each local maximum's prominence comes
 from the nearest strictly higher sample on either side and the minimum
-between them, taken over a (candidates x turning points) mask, and the
-survivors are thinned tallest first in one pass over a mask of blocked
-samples. The turning points are the two borders, the local maxima and the
-non-strict local minima. The result is the same as over every sample: each
-stretch's minimum is a local minimum, a border sample or the peak, and
-between a kept sample at or below a peak and the nearest sample above it
-the wave climbs through a local maximum above the peak. The prediction
-keeps every group's RR series, so a configuration with fewer groups of the
-same size can be decided from the first of them."""
+between them, and the survivors are thinned tallest first in one pass over a
+mask of blocked samples. The prominence is taken over the wave's maxima and
+the valleys between consecutive ones: a (maxima x maxima) comparison finds
+each maximum's nearest higher maximum on either side, and the valleys from
+there to the peak hold its bracketing minimum. The result is the same as
+over every sample, because every sample from the nearest higher maximum to
+the nearest higher sample lies above the peak. The prediction keeps every
+group's RR series, so a configuration with fewer groups of the same size can
+be decided from the first of them."""
 
 from __future__ import annotations
 
@@ -117,31 +117,37 @@ def _prominence(wave: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     peak (or the array border); its minimum includes the peak itself.
 
     ``peaks`` must hold every local maximum of ``wave`` in ascending order, as
-    detect_peaks passes them. The masks then run over the turning points only:
-    samples 0 and n-1, the peaks, and every non-strict local minimum
-    (``w[i] <= w[i-1]`` and ``w[i] <= w[i+1]``). The result is exact. A
-    stretch's minimum is the peak itself, a border sample or a local minimum,
-    so it is kept. The nearest sample above a peak is a local maximum, or it
-    lies on a climb to one (or to a border) on which every sample is above the
-    peak. Between that sample and any kept sample at or below the peak the
-    wave rises to a local maximum above the peak, which is kept. So the
-    nearest kept sample above the peak closes the same stretch, and no stretch
-    gains or loses a minimum.
+    detect_peaks passes them. They cut the wave into k+1 segments: before the
+    first maximum, from each maximum up to the next, and from the last one to
+    the end. On each side, the segments between a peak and its nearest
+    strictly higher maximum (or the border) give the stretch's minimum once it
+    is capped at the peak's height. The result is exact. Let j be the nearest
+    sample above the peak on one side, and q the nearest maximum above it
+    there, or the border sample when there is none. If a sample s between q
+    and j were at or below the peak, the leftmost highest sample between s and
+    the peak would be a local maximum above the peak, nearer to it than q. So
+    every sample from q to j lies above the peak: the segments cover the
+    stretch, and the samples they add beyond it cannot lower the capped
+    minimum. With no j on a side, the segments cover the stretch exactly.
     """
-    keep = np.ones(len(wave), dtype=bool)
-    keep[1:-1] = (wave[1:-1] <= wave[:-2]) & (wave[1:-1] <= wave[2:])
-    keep[peaks] = True
-    kept = np.flatnonzero(keep)
-    wave, peaks = wave[kept], np.searchsorted(kept, peaks)
-    idx = np.arange(len(wave))
-    p = peaks[:, None]
-    height = wave[p]
-    higher = wave > height
-    left = np.where(higher & (idx < p), idx, -1).max(axis=1, keepdims=True)
-    right = np.where(higher & (idx > p), idx, len(wave)).min(axis=1, keepdims=True)
-    left_min = np.where((idx > left) & (idx <= p), wave, np.inf).min(axis=1)
-    right_min = np.where((idx >= p) & (idx < right), wave, np.inf).min(axis=1)
-    return height[:, 0] - np.maximum(left_min, right_min)
+    k = len(peaks)
+    if k == 0:
+        return np.empty(0)
+    height = wave[peaks]
+    seg = np.minimum.reduceat(wave, np.concatenate(([0], peaks)))
+    higher = height > height[:, None]  # row i, column j: maximum j is strictly above maximum i
+    left_of = np.tri(k, dtype=bool)  # j <= i; the diagonal is never higher
+    rows = np.arange(k)
+    on_left, on_right = higher & left_of, higher > left_of  # > on booleans: and not
+    left = k - 1 - on_left[:, ::-1].argmax(axis=1)
+    left = np.where(on_left[rows, left], left, -1)
+    right = on_right.argmax(axis=1)
+    right = np.where(on_right[rows, right], right, k)
+    # segments [left+1, i+1) and [i+1, right+1) as every other reduceat range;
+    # the appended inf makes right+1 = k+1 a valid start
+    bounds = np.stack([left + 1, rows + 1, rows + 1, right + 1], axis=1).ravel()
+    sides = np.minimum.reduceat(np.append(seg, np.inf), bounds)[::2].reshape(k, 2)
+    return height - np.minimum(sides.max(axis=1), height)
 
 
 def detect_peaks(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarray:

@@ -126,20 +126,20 @@ def _blur(img: np.ndarray, kernel: np.ndarray, planes, out: np.ndarray) -> np.nd
     return _taps(cols, kernel, 1, out[: h * pitch - 2 * r], planes[2])  # along the rows
 
 
-def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    k = gaussian_kernel(sigma)
-    (h, w), r = img.shape[:2], len(k) // 2
-    planes = CannyScratch().planes((h + 2 * r) * (w + 2 * r))
-    _blur(img, k, planes, planes[0])
-    return _grid(planes[0], h, w + 2 * r)[:, :w]
-
-
 def _sobel(s: np.ndarray, h: int, w: int, pitch: int, rows: np.ndarray, gx: np.ndarray,
            gy: np.ndarray):
     """Sobel of an (h, w) plane at (y+1)*pitch + x+1 in the flat s, after filling its border.
 
-    rows takes h*pitch values, gx and gy two fewer, pixel (y, x) at y*pitch + x.
-    gy may share memory with s: s is last read before gy is first written.
+    gx is positive rightward and gy downward. rows takes h*pitch values, gx and
+    gy two fewer, pixel (y, x) at y*pitch + x. gy may share memory with s: s is
+    last read before gy is first written.
+
+    Evaluated separably ([1,2,1] smoothing then [-1,0,1] difference); kept
+    that way on purpose: mirror-symmetric inputs then give exactly tied
+    magnitudes, which the NMS tie rule resolves deterministically. On shifted
+    views a, b, c of the padded plane, [1,2,1] is (a + 2b) + c and [-1,0,1] is
+    c - a: the tap sums up to the sign of a zero, which the magnitude's
+    squares and the bins ignore.
     """
     _reflect_border(_grid(s, h + 2, pitch)[:, : w + 2], 1)
     n = h * pitch
@@ -156,23 +156,6 @@ def _sobel(s: np.ndarray, h: int, w: int, pitch: int, rows: np.ndarray, gx: np.n
     return gx, gy
 
 
-def sobel_gradients(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 Sobel gx (positive rightward) and gy (positive downward).
-
-    Evaluated separably ([1,2,1] smoothing then [-1,0,1] difference); kept
-    that way on purpose: mirror-symmetric inputs then give exactly tied
-    magnitudes, which the NMS tie rule resolves deterministically. On shifted
-    views a, b, c of one padded copy, [1,2,1] is (a + 2b) + c and [-1,0,1] is
-    c - a: the tap sums up to the sign of a zero, which the magnitude's
-    squares and the bins ignore.
-    """
-    h, w = img.shape
-    s, gx, gy = np.empty((h + 2) * (w + 2)), np.empty((h, w + 2)), np.empty((h, w + 2))
-    _grid(s, h + 2, w + 2)[1:-1, 1:-1] = img
-    _sobel(s, h, w, w + 2, np.empty(h * (w + 2)), gx.ravel(), gy.ravel())
-    return gx[:, :w], gy[:, :w]
-
-
 def _fold_and_bin(ang: np.ndarray, bins: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Degrees ang folded in place to [0, 180), binned into uint8 bins; tmp: bools of ang's size."""
     np.add(ang, 180.0, out=ang, where=np.less(ang, 0.0, out=tmp))
@@ -181,12 +164,6 @@ def _fold_and_bin(ang: np.ndarray, bins: np.ndarray, tmp: np.ndarray) -> np.ndar
         bins += np.greater(ang, bound, out=tmp)
     bins &= 3
     return bins
-
-
-def quantize_orientation(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """Gradient angle folded to [0, 180) and binned to 0/45/90/135 degrees."""
-    ang = np.degrees(np.arctan2(gy, gx))
-    return _fold_and_bin(ang, np.empty(ang.shape, np.uint8), np.empty(ang.shape, bool))
 
 
 # Per bin: (first, second) neighbor offsets (dy, dx) along the gradient direction.
@@ -215,14 +192,6 @@ def _suppress(q: np.ndarray, h: int, w: int, pitch: int, bins: np.ndarray,
     keep &= np.greater(mag, 0.0, out=cmp)
     np.copyto(mag, 0.0, where=np.logical_not(keep, out=keep))
     return padded[1 : h + 1, 1 : w + 1]
-
-
-def non_maximum_suppression(mag: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    h, w = mag.shape
-    q, flat_bins = np.empty((h + 2) * (w + 2)), np.zeros((h, w + 2), np.uint8)
-    _grid(q, h + 2, w + 2)[1:-1, 1:-1] = mag
-    flat_bins[:, :w] = bins
-    return _suppress(q, h, w, w + 2, flat_bins.ravel(), np.empty(q.size * 3, bool))
 
 
 def hysteresis(mag: np.ndarray, low: float, high: float) -> np.ndarray:

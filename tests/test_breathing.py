@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,7 +349,7 @@ class TestDetectPeaks:
 
 
 class TestProminence:
-    """_prominence keeps only a wave's turning points; it must equal the full walk."""
+    """_prominence reads a wave's maxima and the valleys between them; it must equal the full walk."""
 
     @staticmethod
     def assert_matches_walk(wave):
@@ -365,6 +367,11 @@ class TestProminence:
         [4, 1, 3, 2, 2, 2, 5],  # the right stretch's minimum is a flat valley above its border
         [0, 1, 0], [1, 2, 1], [2, 1, 0],  # n = 3
         [0, 1, 1, 0], [0, 2, 1, 3], [3, 1, 2, 0], [1, 1, 1, 1],  # n = 4
+        [1, 3, 4, 2, 0],  # a single maximum
+        [0, 2, 1, 2, 0, 2, 1, 2, 0],  # equal maxima: none is strictly higher than another
+        [0, 5, 1, 3, 0, 5, 2, 4, 1],  # the tallest maximum twice
+        [0, 4, 1, 2, 1, 3, 0],  # maxima at samples 1 and n-2
+        [5, 4, 3, 3, 1], [1, 2, 3], [2, 2, 1, 1],  # no maximum at all
     ])
     def test_hand_made_waves(self, wave):
         self.assert_matches_walk(wave)
@@ -383,6 +390,28 @@ class TestProminence:
             else:  # noisy sine
                 wave = np.sin(np.arange(n) * rng.uniform(0.05, 0.5)) + rng.normal(0, 0.3, n)
             self.assert_matches_walk(wave)
+
+    def test_matches_walk_on_window_length_noise(self):
+        # the VGA stream's regime: 600-900 samples and more than 100 maxima a wave
+        rng = np.random.default_rng(21)
+        for k in range(200):
+            wave = rng.normal(0, 1, int(rng.integers(600, 901)))
+            if k % 2:  # equal heights
+                wave = np.round(wave * 2) / 2
+            assert len(oracle_local_maxima(wave)) > 100
+            self.assert_matches_walk(wave)
+
+    def test_memory_stays_under_two_mb_on_a_zigzag(self):
+        wave = np.tile([0.0, 1.0], 450)
+        peaks = np.arange(1, 899, 2)
+        assert list(peaks) == oracle_local_maxima(wave)
+        tracemalloc.start()
+        try:
+            _prominence(wave, peaks)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak_bytes < 2_000_000
 
 
 class TestInstantaneousRR:

@@ -25,17 +25,50 @@ import rrvision
 from rrvision.config import MIN_ROI_SIDE, CannyConfig
 from rrvision.edges import (
     CannyScratch,
+    _blur,
+    _fold_and_bin,
     _gray_into,
+    _grid,
     _reflect_border,
+    _sobel,
+    _suppress,
     canny,
     dilate,
-    gaussian_blur,
     gaussian_kernel,
     hysteresis,
-    non_maximum_suppression,
-    quantize_orientation,
-    sobel_gradients,
 )
+
+# --- canny's stages one by one, over its private cores -----------------------
+
+
+def gaussian_blur(img, sigma):
+    k = gaussian_kernel(sigma)
+    (h, w), r = img.shape[:2], len(k) // 2
+    planes = CannyScratch().planes((h + 2 * r) * (w + 2 * r))
+    _blur(img, k, planes, planes[0])
+    return _grid(planes[0], h, w + 2 * r)[:, :w]
+
+
+def sobel_gradients(img):
+    h, w = img.shape
+    s, gx, gy = np.empty((h + 2) * (w + 2)), np.empty((h, w + 2)), np.empty((h, w + 2))
+    _grid(s, h + 2, w + 2)[1:-1, 1:-1] = img
+    _sobel(s, h, w, w + 2, np.empty(h * (w + 2)), gx.ravel(), gy.ravel())
+    return gx[:, :w], gy[:, :w]
+
+
+def quantize_orientation(gx, gy):
+    ang = np.degrees(np.arctan2(gy, gx))
+    return _fold_and_bin(ang, np.empty(ang.shape, np.uint8), np.empty(ang.shape, bool))
+
+
+def non_maximum_suppression(mag, bins):
+    h, w = mag.shape
+    q, flat_bins = np.empty((h + 2) * (w + 2)), np.zeros((h, w + 2), np.uint8)
+    _grid(q, h + 2, w + 2)[1:-1, 1:-1] = mag
+    flat_bins[:, :w] = bins
+    return _suppress(q, h, w, w + 2, flat_bins.ravel(), np.empty(q.size * 3, bool))
+
 
 # --- brute-force oracle ------------------------------------------------------
 
