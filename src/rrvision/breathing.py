@@ -43,13 +43,18 @@ class RRSeries:
 
 @dataclass
 class RRPrediction:
+    """One window's prediction; it is valid exactly when it has a rate (rr_bpm is not None)."""
+
     t: float  # window end time, seconds
     rr_bpm: Optional[float]
     group_index: Optional[int]  # 1-based; 1 = highest-std group
     n_peaks: int
-    valid: bool
     # every group's RR series in rank order; the winner is one of them
     series: list[RRSeries] = field(default_factory=list, repr=False, compare=False)
+
+    @property
+    def valid(self) -> bool:
+        return self.rr_bpm is not None
 
 
 def detrend(signal: np.ndarray) -> np.ndarray:
@@ -163,9 +168,8 @@ def detect_peaks(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarra
     if n < 3:
         return np.empty(0, dtype=np.int64)
     candidates = np.nonzero((w[1:-1] > w[:-2]) & (w[1:-1] >= w[2:]))[0] + 1
-    sd = w.std()
-    if sd > 0:
-        candidates = candidates[_prominence(w, candidates) >= cfg.prominence_factor * sd]
+    # every prominence is >= 0, so a wave whose std is 0 keeps every candidate
+    candidates = candidates[_prominence(w, candidates) >= cfg.prominence_factor * w.std()]
 
     # greedy, tallest first with ties to the lower index: a peak is kept unless
     # a kept one lies within reach, i.e. closer than min_dist = fs*60/rr_max
@@ -183,8 +187,6 @@ def detect_peaks(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarra
 def instantaneous_rr(peak_indices: np.ndarray, fs: float, cfg: BreathingConfig) -> RRSeries:
     """BPM value per consecutive peak pair, keeping only the plausible band."""
     peaks = np.asarray(peak_indices, dtype=np.int64)
-    if len(peaks) < 2:
-        return RRSeries(peak_indices=peaks, inst_rr=np.empty(0, dtype=np.float64))
     ibis = np.diff(peaks) / fs  # seconds per breath
     rr = 60.0 * cfg.cycles_per_peak / ibis
     rr = rr[(rr >= cfg.rr_min) & (rr <= cfg.rr_max)]
@@ -213,14 +215,12 @@ def predict(series: list[RRSeries], t: float, cfg: BreathingConfig) -> RRPredict
     """The steadiest eligible group's mean RR; invalid when no group qualifies."""
     win = best_group(series, cfg)
     if win is None:
-        return RRPrediction(t=t, rr_bpm=None, group_index=None, n_peaks=0, valid=False,
-                            series=series)
+        return RRPrediction(t=t, rr_bpm=None, group_index=None, n_peaks=0, series=series)
     return RRPrediction(
         t=t,
         rr_bpm=float(series[win].inst_rr.mean()),
         group_index=win + 1,
         n_peaks=int(len(series[win].peak_indices)),
-        valid=True,
         series=series,
     )
 

@@ -25,17 +25,15 @@ SYNTH_FLAGS = ("width", "height", "fps", "duration_s", "rr_segments", "noise_sig
                "amplitude_px", "texture_seed", "pixel_format", "container", "roi_jump_at_s")
 
 
-def _add_run_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="JSON config file (flags override it)")
-    _add_config_flags(p, cfgmod.RunConfig())
-
-
 def _add_config_flags(p, obj, names=None, section: str = "") -> None:
     """Add --<field> for each named field of obj (default: all), a group per section.
 
-    Dests are "<section>.<field>", or ".<field>" at the top, so _flag_overrides finds
-    them. A field's "choices" metadata limits its flag; a list field takes text.
+    The top level also adds --config. Dests are "<section>.<field>", or ".<field>" at
+    the top, so _flag_overrides finds them. A field's "choices" metadata limits its
+    flag; a list field takes text.
     """
+    if not section:
+        p.add_argument("--config", type=Path, help="JSON config file (flags override it)")
     fields = {f.name: f for f in dataclasses.fields(obj)}
     for name in names or fields:
         default, choices = getattr(obj, name), fields[name].metadata.get("choices")
@@ -59,10 +57,17 @@ def _flag_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
-def _build_run_config(args: argparse.Namespace) -> cfgmod.RunConfig:
-    # validated once, after the flags: a flag may fix a value of the file
-    cfg = cfgmod.RunConfig.from_dict(_read_json(args.config)) if args.config else cfgmod.RunConfig()
-    cfgmod.apply_overrides(cfg, _flag_overrides(args), "flags")
+def _build_config(cls, args: argparse.Namespace):
+    """The defaults of cls, then --config, then the flags; validated once, after the flags.
+
+    So a flag may fix a value of the file. A list field's flag is text, parsed here.
+    """
+    cfg = cls()
+    if args.config:
+        cfgmod.apply_overrides(cfg, _read_json(args.config), "config")
+    flags = {k: _parse_segments(v) if isinstance(getattr(cfg, k), list) else v
+             for k, v in _flag_overrides(args).items()}
+    cfgmod.apply_overrides(cfg, flags, "flags")
     cfg.validate()
     return cfg
 
@@ -82,7 +87,7 @@ def _parse_roi(text: str) -> tuple[int, int, int, int]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
+    cfg = _build_config(cfgmod.RunConfig, args)
     fixed_roi = _parse_roi(args.fixed_roi) if args.fixed_roi else None
     if args.dump_config:
         sys.stdout.write(cfgmod.dump_config(cfg))
@@ -136,13 +141,7 @@ def _fmt(v) -> str:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    scfg = synth.SynthConfig()
-    if args.config:
-        cfgmod.apply_overrides(scfg, _read_json(args.config), "config")
-    flags = {k: _parse_segments(v) if isinstance(getattr(scfg, k), list) else v
-             for k, v in _flag_overrides(args).items()}
-    cfgmod.apply_overrides(scfg, flags, "flags")
-    ds = synth.generate(scfg, args.out_dir)
+    ds = synth.generate(_build_config(synth.SynthConfig, args), args.out_dir)
     print(f"wrote {ds.meta.frame_count} frames to {ds.video_path}")
     return 0
 
@@ -160,7 +159,7 @@ def _parse_segments(text: str) -> list[tuple[float, float]]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _build_run_config(args)
+    cfg = _build_config(cfgmod.RunConfig, args)
     base = cfgmod.RunConfig()
     if (cfg.profile_mode, cfg.breathing.top_frac) != (base.profile_mode, base.breathing.top_frac):
         raise ValueError("eval sets profile_mode and top_frac per cell; "
@@ -201,12 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", type=Path, help="write predictions CSV here instead of stdout")
     p_run.add_argument("--timing-json", type=Path, help="write stage timing summary JSON")
     p_run.add_argument("--dump-config", action="store_true", help="print merged config and exit")
-    _add_run_config_flags(p_run)
+    _add_config_flags(p_run, cfgmod.RunConfig())
     p_run.set_defaults(func=cmd_run)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic breathing recording")
     p_synth.add_argument("out_dir", type=Path)
-    p_synth.add_argument("--config", type=Path, help="JSON file of SynthConfig fields")
     _add_config_flags(p_synth, synth.SynthConfig(), SYNTH_FLAGS)
     p_synth.set_defaults(func=cmd_synth)
 
@@ -214,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("manifest", type=Path, help="JSON dataset manifest")
     p_eval.add_argument("--single-cell", help="run one cell only, e.g. edges,0.30")
     p_eval.add_argument("--out", type=Path, help="also write the CSV table here")
-    _add_run_config_flags(p_eval)
+    _add_config_flags(p_eval, cfgmod.RunConfig())
     p_eval.set_defaults(func=cmd_eval)
 
     return parser

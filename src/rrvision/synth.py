@@ -172,9 +172,9 @@ class _Scene:
         # average into clean frequency-doubled waves)
         self._chest_dark = float(np.clip(_BASE_LEVEL - _CHEST_CONTRAST, 5, 250))
 
-        self.jump_frame = (
-            None if cfg.roi_jump_at_s is None else int(round(cfg.roi_jump_at_s * cfg.fps))
-        )
+        # the content sits _JUMP_DY_PX lower from this frame on; frame_count is never
+        jump_at_s = cfg.roi_jump_at_s
+        self.jump_frame = cfg.frame_count if jump_at_s is None else int(round(jump_at_s * cfg.fps))
 
         # random-walk rows live in the static texture inside the ROI
         self.walk_rows: np.ndarray = np.empty(0, dtype=np.int64)
@@ -206,18 +206,18 @@ class _Scene:
         t = frame_index / self.cfg.fps
         return self.cfg.amplitude_px * math.sin(self.cfg.phase_at(t))
 
-    def _jumped(self, frame_index: int) -> bool:
-        return self.jump_frame is not None and frame_index >= self.jump_frame
+    def offset(self, frame_index: int) -> int:
+        """Rows the content (texture, boundary, walk rows, landmarks) sits below its start."""
+        return _JUMP_DY_PX if frame_index >= self.jump_frame else 0
 
     def boundary_at(self, frame_index: int) -> float:
-        dy = _JUMP_DY_PX if self._jumped(frame_index) else 0
-        return self.geom.boundary_y + dy + self.displacement(frame_index)
+        return self.geom.boundary_y + self.offset(frame_index) + self.displacement(frame_index)
 
     def render(self, frame_index: int) -> np.ndarray:
         """One grayscale frame as float64 (h, w), before quantization."""
         cfg = self.cfg
         h, w = cfg.height, cfg.width
-        dy = _JUMP_DY_PX if self._jumped(frame_index) else 0
+        dy = self.offset(frame_index)
         static = self._static_ext[_TEMPLATE_PAD - dy : _TEMPLATE_PAD - dy + h]
 
         b = self.boundary_at(frame_index)
@@ -276,12 +276,12 @@ def generate(cfg: SynthConfig, out_path) -> SynthDataset:
     write_step_hold(gt_path, GROUND_TRUTH_HEADER, cfg.rr_segments)
 
     lm_path = out_dir / LANDMARKS_NAME
-    rows = [(0, scene.geom.landmarks)]
-    if scene.jump_frame is not None and 0 < scene.jump_frame < cfg.frame_count:
-        lm0 = scene.geom.landmarks  # the jump moves every landmark down with the content
-        shifted = ((x, y + _JUMP_DY_PX) for x, y in (lm0.chin, lm0.left_ear, lm0.right_ear))
-        rows.append((scene.jump_frame, LandmarkSet(*shifted)))
-    write_landmark_track(lm_path, rows)
+    lm0 = scene.geom.landmarks
+    offsets = [scene.offset(i) for i in range(cfg.frame_count)]
+    # a row at frame 0 and wherever the offset changes: the landmarks move with the content
+    write_landmark_track(lm_path, [
+        (i, LandmarkSet(*((x, y + dy) for x, y in (lm0.chin, lm0.left_ear, lm0.right_ear))))
+        for i, dy in enumerate(offsets) if i == 0 or dy != offsets[i - 1]])
 
     return SynthDataset(
         out_dir=out_dir,

@@ -303,6 +303,8 @@ class TestDetectPeaks:
         assert list(detect_peaks(wave, 30.0, CFG)) == [20]
 
     def test_matches_oracle_1000_instances(self):
+        tiny = np.array([0.0, 5e-324, 0.0])  # its std underflows to 0
+        assert list(detect_peaks(tiny, 30.0, CFG)) == oracle_detect_peaks(tiny, 30.0, CFG) == [1]
         rng = np.random.default_rng(4)
         for _ in range(1000):
             n = int(rng.integers(3, 60))
@@ -429,6 +431,8 @@ class TestInstantaneousRR:
 
     def test_fewer_than_two_peaks(self):
         assert len(instantaneous_rr(np.array([7]), 30.0, CFG).inst_rr) == 0
+        rr = instantaneous_rr(np.array([], dtype=np.int64), 30.0, CFG).inst_rr
+        assert rr.dtype == np.float64 and rr.shape == (0,)
 
     def test_two_peaks_per_breath_reading(self):
         cfg = BreathingConfig(cycles_per_peak=0.5)

@@ -228,6 +228,12 @@ class TestDumpConfigRoundTrip:
                                     "--window-s", "20", "--dump-config")
         assert code == 0, err
         assert json.loads(dumped)["schedule"]["window_s"] == 20.0
+        # synth reads its config through the same rule
+        cfg_file.write_text(json.dumps({"noise_sigma": -1, "duration_s": 1.0}))
+        code, out, err = run_cli(capsys, "synth", tmp_path / "rec", "--config", cfg_file,
+                                 "--noise-sigma", "2", "--pixel-format", "GRAY8")
+        assert code == 0, err
+        assert "wrote 30 frames" in out
 
     def test_bad_config_value_no_flag_overrides_exits_1(self, capsys, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -27,7 +27,7 @@ from conftest import make_recording
 def pred(t, rr, valid=True, group=1):
     return RRPrediction(
         t=t, rr_bpm=rr if valid else None, group_index=group if valid else None,
-        n_peaks=5 if valid else 0, valid=valid,
+        n_peaks=5 if valid else 0,
     )
 
 

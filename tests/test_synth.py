@@ -7,7 +7,7 @@ from rrvision.config import RunConfig
 from rrvision.evaluate import load_ground_truth
 from rrvision.ingest import GROUND_TRUTH_HEADER, open_source, write_step_hold
 from rrvision.pipeline import run_recording
-from rrvision.roi import load_landmark_track, roi_from_landmarks
+from rrvision.roi import LandmarkSet, load_landmark_track, roi_from_landmarks
 from rrvision.synth import SynthConfig, _Scene, generate, scene_geometry
 
 from conftest import make_recording
@@ -141,13 +141,23 @@ class TestSceneGeometry:
         assert g.boundary_y + 2 < g.roi.y + g.roi.h - 4
         assert g.roi.x <= g.chest_x0 < g.chest_x1 <= g.roi.x + g.roi.w
 
-    def test_jump_writes_second_landmark_record(self, tmp_path):
-        ds = make_recording(tmp_path / "rec", duration_s=2.0, roi_jump_at_s=1.0)
+    @pytest.mark.parametrize("jump_s, rows", [
+        (1.0, [(0, 0.0), (30, 6.0)]),
+        # at or before frame 0 the whole recording is shifted, landmarks included
+        (0.0, [(0, 6.0)]), (0.01, [(0, 6.0)]), (-1.0, [(0, 6.0)]),
+        # at or past the end (frame 60) no frame is shifted
+        (2.0, [(0, 0.0)]), (5.0, [(0, 0.0)]),
+    ], ids=["1.0", "0.0", "0.01", "-1.0", "2.0", "5.0"])
+    def test_jump_writes_second_landmark_record(self, tmp_path, jump_s, rows):
+        ds = make_recording(tmp_path / "rec", duration_s=2.0, roi_jump_at_s=jump_s)
+        lines = ds.landmarks_path.read_text().splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines] == [frame for frame, _ in rows]
         landmarks_at = load_landmark_track(ds.landmarks_path)
-        first, second = landmarks_at(0), landmarks_at(30)
-        assert landmarks_at(29) == first
-        assert landmarks_at(60) == second
-        assert second.chin[1] - first.chin[1] == 6.0
+        lm0 = ds.geometry.landmarks  # where the scene puts the face before any jump
+        points = (lm0.chin, lm0.left_ear, lm0.right_ear)
+        for frame, dy in rows:
+            assert landmarks_at(frame) == LandmarkSet(*((x, y + dy) for x, y in points))
+        assert landmarks_at(59) == landmarks_at(rows[-1][0])
 
 
 class TestRenderedMotionOracle:
