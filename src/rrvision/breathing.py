@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import BreathingConfig
+from .config import BreathingConfig, samples
 from .window import MotionWindow
 
 # rows whose detrended std falls below this are considered flat (intensity units)
@@ -101,13 +101,13 @@ def smooth(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarray:
     Truncated at the boundaries and renormalized by the number of samples
     actually present.
     """
-    k = int(round(cfg.smooth_s * fs))
+    k = samples(cfg.smooth_s, fs, "smooth_s")
     if k % 2 == 0:
         k += 1
     if k <= 1:
         return np.asarray(wave, dtype=np.float64).copy()
-    half = k // 2
     n = wave.shape[-1]
+    half = min(k // 2, n)  # a half-width of n already spans the whole wave from every sample
     csum = np.zeros(wave.shape[:-1] + (n + 1,))
     np.cumsum(wave, axis=-1, out=csum[..., 1:])
     lo = np.maximum(np.arange(n) - half, 0)
@@ -171,9 +171,9 @@ def detect_peaks(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarra
     # every prominence is >= 0, so a wave whose std is 0 keeps every candidate
     candidates = candidates[_prominence(w, candidates) >= cfg.prominence_factor * w.std()]
 
-    # greedy, tallest first with ties to the lower index: a peak is kept unless
-    # a kept one lies within reach, i.e. closer than min_dist = fs*60/rr_max
-    reach = math.ceil(fs * 60.0 / cfg.rr_max) - 1
+    # greedy, tallest first with ties to the lower index: a peak is kept unless a kept one lies
+    # within reach, closer than min_dist = fs*60/rr_max (capped at n: n - 1 blocks every sample)
+    reach = math.ceil(min(fs * 60.0 / cfg.rr_max, n)) - 1
     blocked = np.zeros(n, dtype=bool)
     kept = np.zeros(len(candidates), dtype=bool)
     for k in np.argsort(-w[candidates], kind="stable"):

@@ -19,6 +19,17 @@ MIN_ROI_SIDE = 8
 PROFILE_MODES = ("edges", "full_roi")
 
 
+def samples(seconds: float, rate: float, name: str) -> int:
+    """The one rule that turns a duration into a count: seconds x rate, rounded half to even.
+
+    A product that is not finite raises ValueError naming the field.
+    """
+    count = seconds * rate
+    if not abs(count) <= sys.float_info.max:  # inf, nan or an int past every float
+        raise ValueError(f"{name} of {seconds} s at {rate}/s gives no finite count")
+    return round(count)
+
+
 @dataclass
 class ScheduleConfig:
     """Sliding-window timing, all in seconds."""
@@ -46,8 +57,8 @@ class CannyConfig:
     dilation_radius: int = 2
 
     def validate(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < 3 * self.sigma <= sys.float_info.max:
+            raise ValueError("sigma must be positive, with a finite blur radius ceil(3*sigma)")
         if not self.low < self.high:
             raise ValueError("canny low threshold must be below high")
         if self.dilation_radius < 0:

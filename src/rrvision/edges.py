@@ -258,7 +258,7 @@ def dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     out = mask.copy()
     for q in (out, out.T):  # square SE is separable into two 1D runs
         src = q.copy(order="K")
-        for r in range(1, radius + 1):
+        for r in range(1, min(radius, len(q)) + 1):  # a run of len(q) covers q
             q[r:] |= src[:-r]
             q[:-r] |= src[r:]
     return out

@@ -124,12 +124,12 @@ def load_dataset_manifest(path) -> list[RecordingSpec]:
         raise ValueError(f"dataset manifest {path} must be a non-empty JSON list")
     base = path.parent
     specs = []
+    paths = ("video_path", "ground_truth_path", "landmarks_path")
     for e in entries:
-        # an empty path would resolve to the manifest's own directory
-        if not isinstance(e, dict) or not all(
+        # no key is ignored, so a mistyped one fails; an empty path would be the manifest's dir
+        if not isinstance(e, dict) or not e.keys() <= {*paths, "fixed_roi"} or not all(
             isinstance(e.get(k), str) and e[k] != ""
-            for k in ("video_path", "ground_truth_path", "landmarks_path")
-            if k != "landmarks_path" or e.get(k) is not None
+            for k in paths if k != "landmarks_path" or e.get(k) is not None
         ):
             raise ValueError(
                 f"recording {e!r} in {path} must be an object with string video_path and "

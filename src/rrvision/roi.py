@@ -53,8 +53,8 @@ class RoiRect:
         return plane[self.y : self.y + self.h, self.x : self.x + self.w]
 
 
-def _round_half_up(v: float) -> int:
-    return int(math.floor(v + 0.5))
+def _pixel(v: float, size: int) -> int:  # NaN (from inf - inf) lands on 0
+    return int(math.floor(min(max(0, v), size) + 0.5))
 
 
 def roi_span(lm: LandmarkSet, geometry: RoiGeometryConfig) -> tuple[float, float, float, float]:
@@ -73,11 +73,11 @@ def roi_span(lm: LandmarkSet, geometry: RoiGeometryConfig) -> tuple[float, float
 def roi_from_landmarks(
     lm: LandmarkSet, meta: VideoMeta, geometry: RoiGeometryConfig | None = None
 ) -> RoiRect:
-    """Chest rectangle from landmarks: round half-up to pixels, then clamp."""
+    """Chest rectangle from landmarks: clamp to the frame, round half up, then check the size."""
     geometry = geometry or RoiGeometryConfig()
     x0, y0, x1, y1 = roi_span(lm, geometry)
-    xi0, yi0 = _round_half_up(x0), _round_half_up(y0)
-    xi1, yi1 = _round_half_up(x1), _round_half_up(y1)
+    xi0, yi0 = _pixel(x0, meta.width), _pixel(y0, meta.height)
+    xi1, yi1 = _pixel(x1, meta.width), _pixel(y1, meta.height)
     return RoiRect(xi0, yi0, xi1 - xi0, yi1 - yi0).clamped(meta)
 
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import BreathingConfig, RoiGeometryConfig
+from .config import BreathingConfig, RoiGeometryConfig, samples
 from .ingest import (GROUND_TRUTH_HEADER, GROUND_TRUTH_NAME, LANDMARKS_NAME, MANIFEST_NAME,
                      PIXEL_FORMATS, RGB24, VideoMeta, write_manifest, write_pnm, write_step_hold)
 from .roi import LandmarkSet, RoiRect, roi_from_landmarks, write_landmark_track
@@ -92,7 +92,7 @@ class SynthConfig:
 
     @property
     def frame_count(self) -> int:
-        return int(round(self.duration_s * self.fps))
+        return samples(self.duration_s, self.fps, "duration_s")
 
     @property
     def meta(self) -> VideoMeta:
@@ -172,9 +172,9 @@ class _Scene:
         # average into clean frequency-doubled waves)
         self._chest_dark = float(np.clip(_BASE_LEVEL - _CHEST_CONTRAST, 5, 250))
 
-        # the content sits _JUMP_DY_PX lower from this frame on; frame_count is never
-        jump_at_s = cfg.roi_jump_at_s
-        self.jump_frame = cfg.frame_count if jump_at_s is None else int(round(jump_at_s * cfg.fps))
+        # the content sits _JUMP_DY_PX lower from this frame on; no frame reaches frame_count
+        jump_at_s = cfg.duration_s if cfg.roi_jump_at_s is None else cfg.roi_jump_at_s
+        self.jump_frame = samples(min(max(0, jump_at_s), cfg.duration_s), cfg.fps, "roi_jump_at_s")
 
         # random-walk rows live in the static texture inside the ROI
         self.walk_rows: np.ndarray = np.empty(0, dtype=np.int64)
@@ -189,7 +189,7 @@ class _Scene:
                                  f"only {len(eligible)} ROI rows are away from the boundary")
             walk_rng = np.random.default_rng([cfg.texture_seed, 1])
             self.walk_rows = np.sort(walk_rng.choice(eligible, size=n_walk, replace=False))
-            m = round(20.0 * cfg.fps)
+            m = samples(20.0, cfg.fps, "walk window")
             step = cfg.walk_amplitude * math.sqrt(3.0 / m)
             incr = walk_rng.normal(0.0, step, size=(n_walk, cfg.frame_count))
             self._walk_paths = np.cumsum(incr, axis=1)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ScheduleConfig
+from .config import ScheduleConfig, samples
 
 
 @dataclass
@@ -39,9 +39,9 @@ class MotionBuffer:
         self.schedule.validate()
         self.fs = float(fps)
         self.n_rows = n_rows
-        self.n_cols = int(round(self.schedule.window_s * fps))
-        self.step_frames = int(round(self.schedule.step_s * fps))
-        self.epoch_frames = int(round(self.schedule.reest_s * fps))
+        self.n_cols = samples(self.schedule.window_s, fps, "window_s")
+        self.step_frames = samples(self.schedule.step_s, fps, "step_s")
+        self.epoch_frames = samples(self.schedule.reest_s, fps, "reest_s")
         if self.n_cols < 2 or self.step_frames < 1:
             raise ValueError("window/step too small for this frame rate")
         if self.epoch_frames < 1:

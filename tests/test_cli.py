@@ -642,3 +642,82 @@ def test_non_string_landmarks_path_exits_1(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "error: recording " in err and "string landmarks_path" in err
+
+
+class TestCountingRule:
+    """A duration becomes a count by one rule, and a position is clamped before it is rounded.
+
+    So every setting that passes the type check either runs or exits with one error line.
+    """
+
+    UNCOUNTABLE = "{} of 1e+308 s at 30.0/s gives no finite count"
+    OFF_FRAME = "ROI smaller than 8x8 after clamping to frame"
+
+    @staticmethod
+    def argv(command, manifest, out_path):
+        """run on the eval fixture's 25 s recording, or synth a 2 s clip; the flags follow."""
+        if command == "run":
+            return ["run", manifest.parent / "rec" / "video.gray8", "--out", out_path]
+        return ["synth", out_path, "--duration-s", "2", "--pixel-format", "GRAY8"]
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("run", ["--window-s", "1e308"], UNCOUNTABLE.format("window_s")),
+        ("run", ["--reest-s", "1e308"], UNCOUNTABLE.format("reest_s")),
+        ("run", ["--smooth-s", "1e308"], UNCOUNTABLE.format("smooth_s")),
+        ("run", ["--k-top", "1e308"], OFF_FRAME),
+        # the box's bottom edge is -inf + inf, which lands on the frame's top
+        ("run", ["--k-top=-1e308", "--k-h", "1e308"], OFF_FRAME),
+        ("synth", ["--duration-s", "1e308"], UNCOUNTABLE.format("duration_s")),
+    ], ids=["window_s", "reest_s", "smooth_s", "k_top", "k_top_and_k_h", "duration_s"])
+    def test_uncountable_setting_exits_1_with_one_error_line(self, capsys, tmp_path, manifest,
+                                                            command, flags, message):
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *self.argv(command, manifest, out_path), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command, flags, same_as", [
+        ("run", ["--k-w", "1e308"], ["--k-w", "1e6"]),
+        ("run", ["--k-h", "1e308"], ["--k-h", "1e6"]),
+        ("run", ["--dilation-radius", "1000000000"], ["--dilation-radius", "200"]),
+        ("run", ["--rr-min", "0", "--rr-max", "1e-306"], ["--rr-min", "0", "--rr-max", "1"]),
+        ("run", ["--smooth-s", "1e300"], ["--smooth-s", "100"]),
+        ("synth", ["--roi-jump-at-s", "1e308"], ["--roi-jump-at-s", "5"]),
+    ], ids=["k_w", "k_h", "dilation_radius", "rr_max", "smooth_s", "roi_jump_at_s"])
+    def test_setting_past_the_data_equals_one_that_covers_it(self, capsys, tmp_path, manifest,
+                                                             command, flags, same_as):
+        def written(name, flags):
+            out_path = tmp_path / name
+            assert run_cli(capsys, *self.argv(command, manifest, out_path), *flags)[0] == 0
+            if command == "run":
+                return out_path.read_bytes()
+            return {p.name: p.read_bytes() for p in sorted(out_path.iterdir())}
+
+        reference = written("reference", same_as)
+        if command == "synth":
+            assert len(reference) == 4  # frames, meta.json, ground truth and landmarks
+        assert written("extreme", flags) == reference
+
+    def test_sigma_without_a_finite_blur_radius_exits_1_before_any_read(self, capsys, manifest,
+                                                                       monkeypatch):
+        def no_read(*args):
+            raise AssertionError("a recording was opened")
+
+        monkeypatch.setattr(pipeline, "open_source", no_read)
+        monkeypatch.setattr(evaluate, "run_recording", no_read)
+        video = manifest.parent / "rec" / "video.gray8"
+        for argv in (["run", video, "--dump-config"], ["eval", manifest]):
+            code, out, err = run_cli(capsys, *argv, "--sigma", "1e308")
+            assert code == 1
+            assert out == ""
+            assert err == ("error: sigma must be positive, "
+                           "with a finite blur radius ceil(3*sigma)\n")
+
+    def test_eval_fails_every_cell_on_an_uncountable_smoothing_window(self, capsys, manifest):
+        code, out, _ = run_cli(capsys, "eval", manifest, "--smooth-s", "1e308")
+        assert code == 2
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 4
+        assert all(r.endswith(",failed: " + self.UNCOUNTABLE.format("smooth_s")) for r in rows)

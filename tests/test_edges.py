@@ -631,6 +631,12 @@ class TestDilate:
         assert out.sum() == 4
         assert out[:2, :2].all()
 
+    def test_radius_past_the_mask_stops_at_its_extent(self):
+        # a run as long as the mask already covers it, so a larger radius costs nothing more
+        rng = np.random.default_rng(5)
+        mask = rng.random((40, 60)) < 0.01
+        assert np.array_equal(dilate(mask, 10**9), dilate(mask, max(mask.shape)))
+
     def test_radius_zero_is_identity(self):
         rng = np.random.default_rng(4)
         mask = rng.random((10, 10)) < 0.3

@@ -188,8 +188,11 @@ class TestManifestAndAblation:
             {"video_path": "v.gray8", "landmarks_path": "lm.csv"},
             "x",
             {"video_path": 5, "ground_truth_path": "gt.csv", "landmarks_path": "lm.csv"},
+            # a mistyped fixed_roi beside landmarks_path would otherwise run on the landmarks
+            {"video_path": "v.gray8", "ground_truth_path": "gt.csv", "landmarks_path": "lm.csv",
+             "fixed_ro1": [1, 2, 3]},
         ],
-        ids=["missing_ground_truth_path", "not_an_object", "path_not_a_string"],
+        ids=["missing_ground_truth_path", "not_an_object", "path_not_a_string", "unknown_key"],
     )
     def test_malformed_entry_rejected(self, tmp_path, entry):
         p = write_manifest(tmp_path / "m.json", [entry])
