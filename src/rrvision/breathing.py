@@ -200,15 +200,9 @@ def best_group(series_per_group: list[RRSeries], cfg: BreathingConfig) -> Option
     values (so the std is meaningful). Ties break toward the lower index.
     Returns None when no group qualifies.
     """
-    best_i = None
-    best_std = np.inf
-    for i, s in enumerate(series_per_group):
-        if len(s.peak_indices) < cfg.min_peaks or len(s.inst_rr) < 2:
-            continue
-        sd = float(np.std(s.inst_rr))
-        if sd < best_std:
-            best_i, best_std = i, sd
-    return best_i
+    eligible = [i for i, s in enumerate(series_per_group)
+                if len(s.peak_indices) >= cfg.min_peaks and len(s.inst_rr) >= 2]
+    return min(eligible, key=lambda i: float(np.std(series_per_group[i].inst_rr)), default=None)
 
 
 def predict(series: list[RRSeries], t: float, cfg: BreathingConfig) -> RRPrediction:

@@ -220,8 +220,9 @@ def canny(roi: np.ndarray, cfg: CannyConfig | None = None,
     if h < MIN_ROI_SIDE or w < MIN_ROI_SIDE:
         raise ValueError(f"ROI {w}x{h} is smaller than {MIN_ROI_SIDE}x{MIN_ROI_SIDE}")
     radius = math.ceil(3 * cfg.sigma)
-    if min(h, w) < 2 * radius + 1:
-        raise ValueError(f"ROI {w}x{h} is smaller than the kernel support {2 * radius + 1}")
+    if min(h, w) < 2 * radius + 1:  # the support can have 300 digits: name sigma instead
+        raise ValueError(f"ROI {w}x{h} is smaller than the kernel support "
+                         f"2*ceil(3*sigma)+1 at sigma {cfg.sigma}")
 
     # What the planes p0 | p1 | p2 hold at row pitch P, stage by stage:
     #   blur       padded gray ROI | column pass | products; the row pass writes the

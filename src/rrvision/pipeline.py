@@ -3,11 +3,12 @@
 Per frame: crop the ROI, take the uint8 crop's masked row means, resample
 them and push the profile into the window. The window's MotionBuffer owns the
 frame schedule and counts the frames: when it says the next column starts an
-epoch, one block looks the ROI up at its column count, crops the frame and
-builds the crop's mask and row plan: the dilated Canny edges of the uint8
-crop in edges mode, every pixel in full_roi mode. The lookup, landmarks or a
-fixed rectangle, is chosen once per stream. Canny makes the crop's grayscale
-plane itself, so only edges-mode epoch starts convert a crop to grayscale.
+epoch, one statement looks the ROI up at its column count and builds the
+crop's mask and row plan. Two choices are made once per stream, before the
+first frame: the ROI lookup (landmarks or a fixed rectangle) and the mask
+rule (the dilated Canny edges of the uint8 crop in edges mode, every pixel in
+full_roi mode). Canny makes the crop's grayscale plane itself, so only
+edges-mode epoch starts convert a crop to grayscale.
 Whenever the window emits a snapshot the breathing analysis runs on it and a
 prediction is yielded. When the caller passes a StageTimings, wall time is
 recorded per frame and per window so the CLI can report and tests can assert
@@ -87,8 +88,14 @@ def run_stream(
         fixed_rect = RoiRect(*fixed_roi).clamped(meta)
         roi_at = lambda i: fixed_rect
 
+    # the mask rule, chosen once: crop -> mask; edges mode keeps Canny's planes between epochs
+    if cfg.profile_mode == "edges":
+        scratch = CannyScratch()
+        mask_of = lambda crop: dilate(canny(crop, cfg.canny, scratch), cfg.canny.dilation_radius)
+    else:
+        mask_of = lambda crop: np.ones(crop.shape[:2], dtype=bool)
+
     buffer = MotionBuffer(cfg.canonical_len, meta.fps, cfg.schedule)
-    scratch = CannyScratch()  # Canny's planes, reused at every epoch start
 
     while True:
         if timings is not None:
@@ -98,14 +105,8 @@ def run_stream(
             return
         if buffer.epoch_start:  # the buffer's column count is this frame's index
             roi_rect = roi_at(buffer.count)
-            pixels = roi_rect.crop(frame)
-            if cfg.profile_mode == "edges":
-                mask = dilate(canny(pixels, cfg.canny, scratch), cfg.canny.dilation_radius)
-            else:
-                mask = np.ones(pixels.shape[:2], dtype=bool)
-            plan = plan_rows(mask, cfg.canonical_len, meta.channels)
-        else:
-            pixels = roi_rect.crop(frame)
+            plan = plan_rows(mask_of(roi_rect.crop(frame)), cfg.canonical_len, meta.channels)
+        pixels = roi_rect.crop(frame)
 
         event = buffer.push_profile(extract_profile(pixels, plan))
         if timings is not None:

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import BreathingConfig, RoiGeometryConfig, samples
+from .config import BreathingConfig, RoiGeometryConfig, ScheduleConfig, samples
 from .ingest import (GROUND_TRUTH_HEADER, GROUND_TRUTH_NAME, LANDMARKS_NAME, MANIFEST_NAME,
                      PIXEL_FORMATS, RGB24, VideoMeta, write_manifest, write_pnm, write_step_hold)
 from .roi import LandmarkSet, RoiRect, roi_from_landmarks, write_landmark_track
@@ -66,7 +66,7 @@ class SynthConfig:
     chest_width_frac: float = 0.5  # chest span as a fraction of the ROI width
     band_contrast: float = 60.0
     walk_row_frac: float = 0.0
-    walk_amplitude: float = 0.0  # target std of the walk over a 20 s window
+    walk_amplitude: float = 0.0  # target std of the walk over one default analysis window
 
     def validate(self) -> None:
         if self.duration_s <= 0:
@@ -189,7 +189,7 @@ class _Scene:
                                  f"only {len(eligible)} ROI rows are away from the boundary")
             walk_rng = np.random.default_rng([cfg.texture_seed, 1])
             self.walk_rows = np.sort(walk_rng.choice(eligible, size=n_walk, replace=False))
-            m = samples(20.0, cfg.fps, "walk window")
+            m = samples(ScheduleConfig.window_s, cfg.fps, "walk window")
             step = cfg.walk_amplitude * math.sqrt(3.0 / m)
             incr = walk_rng.normal(0.0, step, size=(n_walk, cfg.frame_count))
             self._walk_paths = np.cumsum(incr, axis=1)

@@ -1,11 +1,12 @@
 """Sliding motion-signal matrix: ring buffer, frame schedule, epoch stitching.
 
-Profiles arrive once per frame and become columns of an LxN matrix. The
-buffer owns the frame schedule: it turns the window, step and re-estimation
-seconds into frame counts. Once warm, it emits a snapshot every step. Each
-new epoch re-estimates the ROI (and edge mask), so profile levels can jump
-at the boundary; the buffer shifts the new epoch per row to continue exactly
-where the previous epoch ended.
+Profiles arrive once per frame and become columns of an LxN matrix held in
+a ring: column i sits at i % N, so the count of columns pushed is the only
+position kept. The buffer owns the frame schedule: it turns the window, step
+and re-estimation seconds into frame counts. Once warm, it emits a snapshot
+every step. Each new epoch re-estimates the ROI (and edge mask), so profile
+levels can jump at the boundary; the buffer shifts the new epoch per row to
+continue exactly where the previous epoch ended.
 """
 
 from __future__ import annotations
@@ -35,20 +36,23 @@ class MotionBuffer:
     """Single-writer sliding buffer over stitched profile columns."""
 
     def __init__(self, n_rows: int, fps: float, schedule: ScheduleConfig | None = None):
-        self.schedule = schedule or ScheduleConfig()
-        self.schedule.validate()
+        schedule = schedule or ScheduleConfig()
+        schedule.validate()
         self.fs = float(fps)
         self.n_rows = n_rows
-        self.n_cols = samples(self.schedule.window_s, fps, "window_s")
-        self.step_frames = samples(self.schedule.step_s, fps, "step_s")
-        self.epoch_frames = samples(self.schedule.reest_s, fps, "reest_s")
+        self.n_cols = samples(schedule.window_s, fps, "window_s")
+        self.step_frames = samples(schedule.step_s, fps, "step_s")
+        self.epoch_frames = samples(schedule.reest_s, fps, "reest_s")
         if self.n_cols < 2 or self.step_frames < 1:
             raise ValueError("window/step too small for this frame rate")
         if self.epoch_frames < 1:
             raise ValueError("re-estimation period too short for this frame rate")
-        self._ring = np.zeros((n_rows, self.n_cols), dtype=np.float64)
-        self._head = 0  # next write position
-        self._count = 0  # total columns pushed
+        try:
+            self._ring = np.zeros((n_rows, self.n_cols), dtype=np.float64)
+        except (ValueError, MemoryError):  # numpy's messages name no setting
+            raise ValueError(f"a window of canonical_len {n_rows} rows by window_s "
+                             f"{schedule.window_s} s at {fps}/s is too large to allocate") from None
+        self._count = 0  # total columns pushed; column i sits at i % n_cols
         self._offset = np.zeros(n_rows, dtype=np.float64)
 
     @property
@@ -74,12 +78,11 @@ class MotionBuffer:
 
         raw = np.asarray(values, dtype=np.float64)
         if self._count > 0 and self.epoch_start:
-            # the previous column is left of the head, at -1 once the head wraps to 0; this
-            # order of operations fixes the output bits; raw - last rounds differently
-            self._offset = self._offset + ((raw - self._offset) - self._ring[:, self._head - 1])
+            # this order of operations fixes the output bits; raw - last rounds differently
+            last = self._ring[:, (self._count - 1) % self.n_cols]
+            self._offset = self._offset + ((raw - self._offset) - last)
 
-        self._ring[:, self._head] = raw - self._offset
-        self._head = (self._head + 1) % self.n_cols
+        self._ring[:, self._count % self.n_cols] = raw - self._offset
         self._count += 1
 
         if self._count >= self.n_cols and (self._count - self.n_cols) % self.step_frames == 0:
@@ -89,7 +92,6 @@ class MotionBuffer:
     def snapshot(self) -> MotionWindow:
         if self._count < self.n_cols:
             raise ValueError("buffer not warm yet")
-        ordered = np.concatenate(
-            (self._ring[:, self._head :], self._ring[:, : self._head]), axis=1
-        )
+        oldest = self._count % self.n_cols
+        ordered = np.concatenate((self._ring[:, oldest:], self._ring[:, :oldest]), axis=1)
         return MotionWindow(matrix=ordered, fs=self.fs, end_frame=self._count - 1)

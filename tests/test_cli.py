@@ -651,6 +651,9 @@ class TestCountingRule:
     """
 
     UNCOUNTABLE = "{} of 1e+308 s at 30.0/s gives no finite count"
+    # sizes past any 57-bit address space: the allocation fails before a page is touched
+    TOO_LARGE = ("a window of canonical_len {} rows by window_s {} s at 30.0/s "
+                 "is too large to allocate")
     OFF_FRAME = "ROI smaller than 8x8 after clamping to frame"
 
     @staticmethod
@@ -668,7 +671,11 @@ class TestCountingRule:
         # the box's bottom edge is -inf + inf, which lands on the frame's top
         ("run", ["--k-top=-1e308", "--k-h", "1e308"], OFF_FRAME),
         ("synth", ["--duration-s", "1e308"], UNCOUNTABLE.format("duration_s")),
-    ], ids=["window_s", "reest_s", "smooth_s", "k_top", "k_top_and_k_h", "duration_s"])
+        ("run", ["--window-s", "1e14"], TOO_LARGE.format(100, 100000000000000.0)),
+        ("run", ["--window-s", "1e300"], TOO_LARGE.format(100, 1e300)),
+        ("run", ["--canonical-len", "100000000000000"], TOO_LARGE.format(10**14, 20.0)),
+    ], ids=["window_s", "reest_s", "smooth_s", "k_top", "k_top_and_k_h", "duration_s",
+            "window_s_past_memory", "window_s_past_every_dimension", "canonical_len"])
     def test_uncountable_setting_exits_1_with_one_error_line(self, capsys, tmp_path, manifest,
                                                             command, flags, message):
         out_path = tmp_path / "out"
@@ -715,9 +722,14 @@ class TestCountingRule:
             assert err == ("error: sigma must be positive, "
                            "with a finite blur radius ceil(3*sigma)\n")
 
-    def test_eval_fails_every_cell_on_an_uncountable_smoothing_window(self, capsys, manifest):
-        code, out, _ = run_cli(capsys, "eval", manifest, "--smooth-s", "1e308")
+    @pytest.mark.parametrize("flags, message", [
+        (["--smooth-s", "1e308"], UNCOUNTABLE.format("smooth_s")),
+        (["--window-s", "1e14"], TOO_LARGE.format(100, 100000000000000.0)),
+    ], ids=["smooth_s", "window_s"])
+    def test_eval_fails_every_cell_on_an_uncountable_smoothing_window(self, capsys, manifest,
+                                                                      flags, message):
+        code, out, _ = run_cli(capsys, "eval", manifest, *flags)
         assert code == 2
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 4
-        assert all(r.endswith(",failed: " + self.UNCOUNTABLE.format("smooth_s")) for r in rows)
+        assert all(r.endswith(",failed: " + message) for r in rows)

@@ -374,6 +374,11 @@ class TestCannyAgainstOracle:
     def test_roi_smaller_than_kernel_support(self):
         with pytest.raises(ValueError, match="kernel support"):
             canny(np.zeros((10, 10)), CannyConfig(sigma=1.4))  # support 11
+        # a support of 6e300 + 1 px is named by its sigma, not written out in 301 digits
+        with pytest.raises(ValueError, match="kernel support") as info:
+            canny(np.zeros((60, 80)), CannyConfig(sigma=1e300))
+        assert "ROI 80x60" in str(info.value) and "sigma 1e+300" in str(info.value)
+        assert len(str(info.value)) < 200
 
     def test_roi_smaller_than_minimum(self):
         with pytest.raises(ValueError, match="smaller than 8x8"):
