@@ -18,7 +18,11 @@ there to the peak hold its bracketing minimum. The result is the same as
 over every sample, because every sample from the nearest higher maximum to
 the nearest higher sample lies above the peak. The prediction keeps every
 group's RR series, so a configuration with fewer groups of the same size can
-be decided from the first of them."""
+be decided from the first of them.
+
+A window from a MotionBuffer brings two float64 planes of its shape that the
+buffer keeps for the stream's life, and the selection writes its (rows x N)
+working arrays there, so a stream's windows fault in no fresh heap pages."""
 
 from __future__ import annotations
 
@@ -57,17 +61,39 @@ class RRPrediction:
         return self.rr_bpm is not None
 
 
-def detrend(signal: np.ndarray) -> np.ndarray:
-    """Subtract the least-squares line along the last axis; zero mean and zero trend remain."""
+def detrend(signal: np.ndarray, planes: Optional[np.ndarray] = None) -> np.ndarray:
+    """Subtract the least-squares line along the last axis; zero mean and zero trend remain.
+
+    With planes, two float64 planes of the signal's shape (a (2, ...) array),
+    the centred copy is written into the first and the result into the second,
+    which is returned; without, both are fresh arrays. The bits are the same.
+    """
     y = np.asarray(signal, dtype=np.float64)
     n = y.shape[-1]
     if n < 2:
         raise ValueError("detrend needs at least 2 samples")
+    y_c, out = (None, None) if planes is None else planes
     t_c = np.arange(n, dtype=np.float64) - (n - 1) / 2  # (n - 1) / 2 is the exact mean
-    y_c = y - y.mean(axis=-1, keepdims=True)
-    out = np.multiply(y_c, t_c)  # y_c * t_c, then the line, then the result
+    y_c = np.subtract(y, y.mean(axis=-1, keepdims=True), out=y_c)
+    out = np.multiply(y_c, t_c, out=out)  # y_c * t_c, then the line, then the result
     slope = out.sum(axis=-1) / (t_c * t_c).sum()
     return np.subtract(y_c, np.multiply(np.expand_dims(slope, -1), t_c, out=out), out=out)
+
+
+def _row_std(x: np.ndarray, work: Optional[np.ndarray]) -> np.ndarray:
+    """x.std(axis=1), bit for bit, with the deviations from the mean written into work.
+
+    np.std always allocates the deviations, so its own steps are spelled out:
+    sum, divide, subtract, square, sum, divide, sqrt. A work of None allocates.
+    """
+    n = x.shape[1]
+    mean = np.add.reduce(x, axis=1, keepdims=True)
+    np.true_divide(mean, n, out=mean)
+    dev = np.subtract(x, mean, out=work)
+    np.square(dev, out=dev)
+    var = np.add.reduce(dev, axis=1)
+    np.true_divide(var, n, out=var)
+    return np.sqrt(var, out=var)
 
 
 def select_and_group(window: MotionWindow, cfg: BreathingConfig) -> np.ndarray:
@@ -77,15 +103,25 @@ def select_and_group(window: MotionWindow, cfg: BreathingConfig) -> np.ndarray:
     highest-std signals), sized by cfg.groups. Ranking ties break toward the
     lower row index. Leftover selected rows beyond G*group_size are dropped.
     An all-flat window yields G = 0.
+
+    A window with planes is worked in them: the centred rows, the std's
+    deviations and then the grouped rows go into the first plane, the detrended
+    rows into the second. The result is then a view into the first plane, valid
+    until the next window of the same buffer is analysed.
     """
     n_rows, n_cols = window.matrix.shape
     group_size, n_groups = cfg.groups(n_rows)
-    detrended = detrend(window.matrix)
-    stds = detrended.std(axis=1)
+    planes = window.planes
+    work = None if planes is None else planes[0]
+    detrended = detrend(window.matrix, planes)
+    stds = _row_std(detrended, work)
     if np.all(stds <= FLAT_STD):
         n_groups = 0
     order = np.argsort(-stds, kind="stable")[: n_groups * group_size]
-    return detrended[order].reshape(n_groups, group_size, n_cols)
+    # mode="clip" since the indices are in range, and "raise" would copy through a temporary
+    grouped = np.take(detrended, order, axis=0, out=None if work is None else work[: len(order)],
+                      mode="clip")
+    return grouped.reshape(n_groups, group_size, n_cols)
 
 
 def group_to_wave(group: np.ndarray) -> np.ndarray:

@@ -7,11 +7,14 @@ and re-estimation seconds into frame counts. Once warm, it emits a snapshot
 every step. Each new epoch re-estimates the ROI (and edge mask), so profile
 levels can jump at the boundary; the buffer shifts the new epoch per row to
 continue exactly where the previous epoch ended.
+
+The buffer also keeps the analysis's working planes and hands them over with
+every snapshot, so they live as long as the stream and no longer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,6 +29,9 @@ class MotionWindow:
     matrix: np.ndarray  # (L, N) float64
     fs: float
     end_frame: int
+    # (2, L, N) float64 working planes of the buffer that emitted this window, shared by all
+    # of its windows; a bare window has none, and its analysis allocates fresh arrays
+    planes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def end_time_s(self) -> float:
@@ -49,6 +55,7 @@ class MotionBuffer:
             raise ValueError("re-estimation period too short for this frame rate")
         try:
             self._ring = np.zeros((n_rows, self.n_cols), dtype=np.float64)
+            self._planes = np.empty((2, n_rows, self.n_cols), dtype=np.float64)
         except (ValueError, MemoryError):  # numpy's messages name no setting
             raise ValueError(f"a window of canonical_len {n_rows} rows by window_s "
                              f"{schedule.window_s} s at {fps}/s is too large to allocate") from None
@@ -94,4 +101,5 @@ class MotionBuffer:
             raise ValueError("buffer not warm yet")
         oldest = self._count % self.n_cols
         ordered = np.concatenate((self._ring[:, oldest:], self._ring[:, :oldest]), axis=1)
-        return MotionWindow(matrix=ordered, fs=self.fs, end_frame=self._count - 1)
+        return MotionWindow(matrix=ordered, fs=self.fs, end_frame=self._count - 1,
+                            planes=self._planes)

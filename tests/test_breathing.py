@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from rrvision.breathing import (
     RRSeries,
     _prominence,
+    _row_std,
     analyze_window,
     best_group,
     detect_peaks,
@@ -18,9 +20,10 @@ from rrvision.breathing import (
     select_and_group,
     smooth,
 )
-from rrvision.config import BreathingConfig
+from rrvision.config import BreathingConfig, ScheduleConfig
+from rrvision.window import MotionBuffer
 
-from conftest import window_from_rows
+from conftest import glibc_only, minor_faults_under_pinned_malloc, window_from_rows
 
 
 CFG = BreathingConfig()
@@ -188,6 +191,102 @@ class TestSelectAndGroup:
         window = window_from_rows(np.zeros((10, 50)))
         with pytest.raises(ValueError, match="too few rows"):
             select_and_group(window, CFG)
+
+    def test_row_std_equals_numpy_std_bit_for_bit_1000_matrices(self):
+        rng = np.random.default_rng(7)
+        for i in range(1000):
+            n_rows = int(rng.integers(1, 9))
+            n = 2 if i % 10 == 0 else int(rng.integers(2, 130))  # odd and even widths
+            m = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=(n_rows, n)).cumsum(axis=1)
+            m += rng.choice([0.0, 1e6, -1e12])  # large offsets
+            m[rng.random(n_rows) < 0.2] = rng.uniform(-1e6, 1e6)  # constant rows
+            want = detrend(m).std(axis=1)
+            planes = np.full((2, n_rows, n), np.nan)
+            detrended = detrend(m, planes)
+            assert np.array_equal(detrended, detrend(m))
+            assert np.array_equal(_row_std(detrended, planes[0]), want)
+            assert np.array_equal(_row_std(detrend(m), None), want)
+
+    def test_windows_on_one_set_of_planes_equal_bare_windows(self):
+        # 40 rows of 20 s at 10/s, one window a second; flat stretches give G = 0 windows
+        fs, rng = 10.0, np.random.default_rng(3)
+        buffer = MotionBuffer(40, fs, ScheduleConfig(window_s=20.0, step_s=1.0))
+        amplitudes, phases = rng.uniform(1.0, 30.0, 40), rng.uniform(0.0, 6.0, 40)
+        events = []
+        for i in range(700):
+            t = i / fs
+            if 200 <= i < 300 or i >= 500:
+                column = amplitudes * np.sin(2 * np.pi * 0.25 * t + phases) + rng.normal(0, 1, 40)
+            else:
+                column = np.full(40, 5.0)
+            events.append(buffer.push_profile(column))
+        windows = [w for w in events if w is not None]
+        assert all(w.planes is windows[0].planes for w in windows)
+        shapes = {select_and_group(dataclasses.replace(w, planes=None), CFG).shape[0] for w in windows}
+        assert shapes == {0, 6}  # flat windows and grouped ones, in one sequence
+        valid = 0
+        for w in windows:
+            got = analyze_window(w, CFG)
+            want = analyze_window(dataclasses.replace(w, planes=None), CFG)
+            assert got == want
+            assert len(got.series) == len(want.series)
+            for a, b in zip(got.series, want.series):
+                assert np.array_equal(a.peak_indices, b.peak_indices)
+                assert np.array_equal(a.inst_rr, b.inst_rr)
+            valid += got.valid
+        assert valid > 0
+
+    def test_prediction_holds_no_view_into_the_planes(self):
+        window = sine_window(15.0, 30.0, n_rows=40)
+        planes = np.empty((2,) + window.matrix.shape)
+        got = analyze_window(dataclasses.replace(window, planes=planes), CFG)
+        series = [(s.peak_indices.copy(), s.inst_rr.copy()) for s in got.series]
+        assert got.valid and len(series) == 6
+        planes.fill(np.nan)
+        assert got == analyze_window(window, CFG)
+        for s, (peaks, rr) in zip(got.series, series):
+            assert np.array_equal(s.peak_indices, peaks) and np.array_equal(s.inst_rr, rr)
+            assert not np.shares_memory(s.inst_rr, planes)
+            assert not np.shares_memory(s.peak_indices, planes)
+
+    @glibc_only
+    def test_warm_analysis_faults_no_fresh_pages(self):
+        """Minor page faults of warm analyses of 100x400 and 100x600 stream windows.
+
+        The probe runs in a fresh interpreter with malloc pinned, so a
+        (rows x n) float64 temporary allocated per window would fault its
+        80-120 pages at every call.
+        """
+        faults = minor_faults_under_pinned_malloc(_ANALYSIS_FAULT_PROBE)
+        assert len(faults) == 6
+        assert max(faults) < 64, faults
+
+
+# per window length, three warm analyses of a buffer's windows, each one's minor faults on a line
+_ANALYSIS_FAULT_PROBE = """
+import resource
+import numpy as np
+from rrvision.breathing import analyze_window
+from rrvision.config import BreathingConfig, ScheduleConfig
+from rrvision.window import MotionBuffer
+rng = np.random.default_rng(0)
+cfg = BreathingConfig()
+for window_s in (20.0, 30.0):  # 400 and 600 columns at 20/s
+    buffer = MotionBuffer(100, 20.0, ScheduleConfig(window_s=window_s, step_s=1.0))
+    amplitudes = rng.uniform(1.0, 30.0, 100)
+    analysed, i = 0, 0
+    while analysed < 5:
+        t = i / 20.0
+        i += 1
+        window = buffer.push_profile(amplitudes * np.sin(2 * np.pi * 0.25 * t) + rng.normal(0, 1, 100))
+        if window is None:
+            continue
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        analyze_window(window, cfg)
+        if analysed >= 2:
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        analysed += 1
+"""
 
 
 class TestGroupLayout:

@@ -8,12 +8,7 @@ and a dead border of one blur radius.
 """
 
 import math
-import os
-import platform
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import rrvision
 from rrvision.config import MIN_ROI_SIDE, CannyConfig
 from rrvision.edges import (
     CannyScratch,
@@ -37,6 +31,8 @@ from rrvision.edges import (
     gaussian_kernel,
     hysteresis,
 )
+
+from conftest import glibc_only, minor_faults_under_pinned_malloc
 
 # --- canny's stages one by one, over its private cores -----------------------
 
@@ -462,26 +458,19 @@ class TestCannyScratch:
             p[r : r + h, r : r + w] = img
             assert np.array_equal(_reflect_border(p, r), np.pad(img, r, mode="reflect"))
 
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc malloc, counts Linux faults")
+    @glibc_only
     def test_warm_call_faults_no_fresh_pages(self):
         """Minor page faults of warm 240x320 calls on one scratch, in a fresh interpreter.
 
-        Its malloc is pinned, so that the count does not depend on how earlier
-        allocations left the heap: every block of 128 KiB or more is a fresh
-        mapping, and the heap is never trimmed. A float64 plane allocated per
-        call then faults all its 150 pages at every call; the heap's smaller
-        blocks, reused from the earlier calls, fault none.
+        Its malloc is pinned, so every block of 128 KiB or more is a fresh
+        mapping: a float64 plane allocated per call would fault all its 150
+        pages at every call.
         """
-        env = dict(os.environ, GLIBC_TUNABLES=_PINNED_MALLOC, PYTHONPATH=os.pathsep.join(
-            [str(Path(rrvision.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env, capture_output=True,
-                              text=True, check=True)
-        faults = [int(v) for v in proc.stdout.split()]
+        faults = minor_faults_under_pinned_malloc(_FAULT_PROBE)
         assert len(faults) == 3
         assert max(faults) < 64, faults
 
 
-_PINNED_MALLOC = "glibc.malloc.mmap_threshold=131072:glibc.malloc.trim_threshold=1073741824"
 # three warm calls on one scratch, each call's minor page faults on a line
 _FAULT_PROBE = """
 import resource
