@@ -20,9 +20,9 @@ the nearest higher sample lies above the peak. The prediction keeps every
 group's RR series, so a configuration with fewer groups of the same size can
 be decided from the first of them.
 
-A window from a MotionBuffer brings two float64 planes of its shape that the
-buffer keeps for the stream's life, and the selection writes its (rows x N)
-working arrays there, so a stream's windows fault in no fresh heap pages."""
+The selection writes its (rows x N) working arrays into two float64 planes of
+the window's shape, requested from a Scratch: a stream passes its own, which
+Canny shares between windows, so its windows fault in no fresh heap pages."""
 
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .config import BreathingConfig, samples
-from .window import MotionWindow
+from .window import MotionWindow, Scratch
 
 # rows whose detrended std falls below this are considered flat (intensity units)
 FLAT_STD = 1e-9
@@ -96,7 +96,8 @@ def _row_std(x: np.ndarray, work: Optional[np.ndarray]) -> np.ndarray:
     return np.sqrt(var, out=var)
 
 
-def select_and_group(window: MotionWindow, cfg: BreathingConfig) -> np.ndarray:
+def select_and_group(window: MotionWindow, cfg: BreathingConfig,
+                     scratch: Scratch | None = None) -> np.ndarray:
     """Detrend rows, rank by std, keep the top fraction, split into groups.
 
     Returns a (G, group_size, N) array in rank order (group 0 holds the
@@ -104,23 +105,21 @@ def select_and_group(window: MotionWindow, cfg: BreathingConfig) -> np.ndarray:
     lower row index. Leftover selected rows beyond G*group_size are dropped.
     An all-flat window yields G = 0.
 
-    A window with planes is worked in them: the centred rows, the std's
-    deviations and then the grouped rows go into the first plane, the detrended
-    rows into the second. The result is then a view into the first plane, valid
-    until the next window of the same buffer is analysed.
+    The work is done in two (L, N) planes of `scratch`, or of a throwaway one:
+    the centred rows, the std's deviations and then the grouped rows go into the
+    first, the detrended rows into the second. The result is a view into the
+    first, valid until the scratch's next request.
     """
     n_rows, n_cols = window.matrix.shape
     group_size, n_groups = cfg.groups(n_rows)
-    planes = window.planes
-    work = None if planes is None else planes[0]
+    planes = (scratch or Scratch()).request(2, n_rows, n_cols)
     detrended = detrend(window.matrix, planes)
-    stds = _row_std(detrended, work)
+    stds = _row_std(detrended, planes[0])
     if np.all(stds <= FLAT_STD):
         n_groups = 0
     order = np.argsort(-stds, kind="stable")[: n_groups * group_size]
     # mode="clip" since the indices are in range, and "raise" would copy through a temporary
-    grouped = np.take(detrended, order, axis=0, out=None if work is None else work[: len(order)],
-                      mode="clip")
+    grouped = np.take(detrended, order, axis=0, out=planes[0][: len(order)], mode="clip")
     return grouped.reshape(n_groups, group_size, n_cols)
 
 
@@ -255,9 +254,10 @@ def predict(series: list[RRSeries], t: float, cfg: BreathingConfig) -> RRPredict
     )
 
 
-def analyze_window(window: MotionWindow, cfg: BreathingConfig) -> RRPrediction:
-    """Full per-window analysis; returns an invalid prediction when no group qualifies."""
+def analyze_window(window: MotionWindow, cfg: BreathingConfig,
+                   scratch: Scratch | None = None) -> RRPrediction:
+    """Full per-window analysis, worked in `scratch`; invalid when no group qualifies."""
     fs = window.fs
-    waves = smooth(group_to_wave(select_and_group(window, cfg)), fs, cfg)
+    waves = smooth(group_to_wave(select_and_group(window, cfg, scratch)), fs, cfg)
     series = [instantaneous_rr(detect_peaks(wave, fs, cfg), fs, cfg) for wave in waves]
     return predict(series, window.end_time_s, cfg)

@@ -114,6 +114,8 @@ class BreathingConfig:
             raise ValueError("need 0 <= rr_min < rr_max")
         if self.smooth_s < 0:
             raise ValueError("smooth_s must be >= 0")
+        if self.prominence_factor < 0:  # a prominence is never negative: this would be a silent 0
+            raise ValueError("prominence_factor must be >= 0")
         if self.min_peaks < 2:
             raise ValueError("min_peaks must be >= 2")
         if self.cycles_per_peak <= 0:

@@ -25,7 +25,7 @@ double-threshold hysteresis with 8-connectivity. Everything is deterministic:
 The input is the crop as the reader gives it: the first float64 plane takes an
 RGB24 crop's exact channel mean, or a GRAY8 plane as it is. Masks are plain
 boolean arrays, True where a pixel participates in profile averaging. The planes
-in between are views of a CannyScratch, kept from one epoch start to the next.
+in between are one request to a Scratch, which a stream's window analysis shares.
 
 Every plane of a w-wide ROI has one row pitch, P = w + 2r for blur radius r, and
 each stage is ufunc calls on 1-D contiguous slices of the flat planes: a shift by
@@ -41,25 +41,7 @@ import math
 import numpy as np
 
 from .config import MIN_ROI_SIDE, CannyConfig
-
-
-class CannyScratch:
-    """The float64 working planes of `canny`, kept from one call to the next.
-
-    Each call asks for three planes of one size, laid end to end in one flat
-    buffer. The buffer grows to the largest request it has seen, and a
-    smaller ROI works in its first part, so a stream whose ROI changes size
-    between epochs keeps one buffer and does not fault in fresh heap pages at
-    every epoch start. A scratch serves one call at a time.
-    """
-
-    def __init__(self) -> None:
-        self._flat = np.empty(0)
-
-    def planes(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._flat.size < 3 * size:
-            self._flat = np.empty(3 * size)
-        return self._flat[:size], self._flat[size : 2 * size], self._flat[2 * size : 3 * size]
+from .window import Scratch
 
 
 def _grid(flat: np.ndarray, rows: int, pitch: int) -> np.ndarray:
@@ -208,11 +190,11 @@ def hysteresis(mag: np.ndarray, low: float, high: float) -> np.ndarray:
 
 
 def canny(roi: np.ndarray, cfg: CannyConfig | None = None,
-          scratch: CannyScratch | None = None) -> np.ndarray:
+          scratch: Scratch | None = None) -> np.ndarray:
     """Edge mask of roi: a GRAY8 (h, w) or uint8 RGB24 (h, w, 3) crop, or a real (h, w) plane.
 
-    The float64 planes, roi's gray plane first, are views of `scratch`, or of a
-    throwaway one when none is given; the mask returned shares no memory with them.
+    The three float64 planes, roi's gray plane first, are one request to `scratch`,
+    or to a throwaway one when none is given; the mask returned shares no memory with them.
     """
     cfg = cfg or CannyConfig()
     cfg.validate()
@@ -231,7 +213,7 @@ def canny(roi: np.ndarray, cfg: CannyConfig | None = None,
     #   magnitude  gy, then gy*gy | gx*gx, then the magnitude, at offset P + 1 | gx's angle
     #   NMS        bytes: the bins, then NMS's masks | magnitude in a -inf border | angle
     pitch = w + 2 * radius
-    planes = (scratch or CannyScratch()).planes((h + 2 * radius) * pitch)
+    planes = (scratch or Scratch()).request(3, (h + 2 * radius) * pitch)
     p0, p1, p2 = planes
     _blur(roi, gaussian_kernel(cfg.sigma), planes, p0[pitch + 1 :])
     n = (h - 1) * pitch + w  # pixel (0, 0) to pixel (h-1, w-1)

@@ -10,12 +10,14 @@ rule (the dilated Canny edges of the uint8 crop in edges mode, every pixel in
 full_roi mode). Canny makes the crop's grayscale plane itself, so only
 edges-mode epoch starts convert a crop to grayscale.
 Whenever the window emits a snapshot the breathing analysis runs on it and a
-prediction is yielded. When the caller passes a StageTimings, wall time is
-recorded per frame and per window so the CLI can report and tests can assert
-the real-time contract: every whole frame, from its read to its push and epoch
-starts included, must fit within a frame period, and one window analysis
-within a step. Time the consumer spends between predictions counts in neither.
-Without one, the loop reads no clock.
+prediction is yielded. Canny at epoch starts and the analysis at window ends
+work in the stream's one Scratch, and neither returns a view into it.
+When the caller passes a StageTimings, wall time is recorded per frame and
+per window so the CLI can report and tests can assert the real-time contract:
+every whole frame, from its read to its push and epoch starts included, must
+fit within a frame period, and one window analysis within a step. Time the
+consumer spends between predictions counts in neither. Without one, the loop
+reads no clock.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import numpy as np
 
 from .breathing import RRPrediction, analyze_window
 from .config import RunConfig
-from .edges import CannyScratch, canny, dilate
+from .edges import canny, dilate
 from .ingest import open_source
 from .profile import extract_profile, plan_rows
 from .roi import RoiRect, load_landmark_track, roi_from_landmarks
-from .window import MotionBuffer
+from .window import MotionBuffer, Scratch
 
 
 @dataclass
@@ -88,14 +90,14 @@ def run_stream(
         fixed_rect = RoiRect(*fixed_roi).clamped(meta)
         roi_at = lambda i: fixed_rect
 
-    # the mask rule, chosen once: crop -> mask; edges mode keeps Canny's planes between epochs
+    scratch = Scratch()  # the stream's working memory: Canny's at epoch starts, else the analysis's
+    # the mask rule, chosen once: crop -> mask
     if cfg.profile_mode == "edges":
-        scratch = CannyScratch()
         mask_of = lambda crop: dilate(canny(crop, cfg.canny, scratch), cfg.canny.dilation_radius)
     else:
         mask_of = lambda crop: np.ones(crop.shape[:2], dtype=bool)
 
-    buffer = MotionBuffer(cfg.canonical_len, meta.fps, cfg.schedule)
+    buffer = MotionBuffer(cfg.canonical_len, meta.fps, cfg.schedule, scratch)
 
     while True:
         if timings is not None:
@@ -114,7 +116,7 @@ def run_stream(
             timings.frame_total.append(t_push - t_start)
 
         if event is not None:
-            prediction = analyze_window(event, cfg.breathing)
+            prediction = analyze_window(event, cfg.breathing, scratch)
             if timings is not None:
                 timings.analysis.append(time.perf_counter() - t_push)
             yield prediction

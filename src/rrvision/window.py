@@ -8,18 +8,33 @@ every step. Each new epoch re-estimates the ROI (and edge mask), so profile
 levels can jump at the boundary; the buffer shifts the new epoch per row to
 continue exactly where the previous epoch ended.
 
-The buffer also keeps the analysis's working planes and hands them over with
-every snapshot, so they live as long as the stream and no longer.
+A stream's working memory is one grow-only Scratch, shared by Canny and the
+window analysis; a buffer given it sizes it for its windows before frame 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ScheduleConfig, samples
+
+
+class Scratch:
+    """Grow-only float64 working memory, lent to one caller at a time."""
+
+    def __init__(self) -> None:
+        self._flat = np.empty(0)
+
+    def request(self, *shape: int) -> np.ndarray:
+        """A view of the first values: the buffer holds the largest request, not their sum."""
+        size = math.prod(shape)
+        if self._flat.size < size:
+            self._flat = np.empty(0)  # freed before the longer one is allocated
+            self._flat = np.empty(size)
+        return self._flat[:size].reshape(shape)
 
 
 @dataclass
@@ -29,9 +44,6 @@ class MotionWindow:
     matrix: np.ndarray  # (L, N) float64
     fs: float
     end_frame: int
-    # (2, L, N) float64 working planes of the buffer that emitted this window, shared by all
-    # of its windows; a bare window has none, and its analysis allocates fresh arrays
-    planes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def end_time_s(self) -> float:
@@ -41,7 +53,8 @@ class MotionWindow:
 class MotionBuffer:
     """Single-writer sliding buffer over stitched profile columns."""
 
-    def __init__(self, n_rows: int, fps: float, schedule: ScheduleConfig | None = None):
+    def __init__(self, n_rows: int, fps: float, schedule: ScheduleConfig | None = None,
+                 scratch: Scratch | None = None):
         schedule = schedule or ScheduleConfig()
         schedule.validate()
         self.fs = float(fps)
@@ -55,7 +68,8 @@ class MotionBuffer:
             raise ValueError("re-estimation period too short for this frame rate")
         try:
             self._ring = np.zeros((n_rows, self.n_cols), dtype=np.float64)
-            self._planes = np.empty((2, n_rows, self.n_cols), dtype=np.float64)
+            if scratch is not None:  # sized for the analysis of the windows: two (L, N) arrays
+                scratch.request(2, n_rows, self.n_cols)
         except (ValueError, MemoryError):  # numpy's messages name no setting
             raise ValueError(f"a window of canonical_len {n_rows} rows by window_s "
                              f"{schedule.window_s} s at {fps}/s is too large to allocate") from None
@@ -72,7 +86,7 @@ class MotionBuffer:
         """True when the next column opens an epoch: column 0 and every epoch_frames after."""
         return self._count % self.epoch_frames == 0
 
-    def push_profile(self, values: np.ndarray) -> Optional[MotionWindow]:
+    def push_profile(self, values: np.ndarray) -> MotionWindow | None:
         """Append one column; returns a window snapshot on step boundaries.
 
         A column that opens an epoch other than the first is stitched: the
@@ -101,5 +115,4 @@ class MotionBuffer:
             raise ValueError("buffer not warm yet")
         oldest = self._count % self.n_cols
         ordered = np.concatenate((self._ring[:, oldest:], self._ring[:, :oldest]), axis=1)
-        return MotionWindow(matrix=ordered, fs=self.fs, end_frame=self._count - 1,
-                            planes=self._planes)
+        return MotionWindow(matrix=ordered, fs=self.fs, end_frame=self._count - 1)

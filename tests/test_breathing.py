@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -21,7 +20,8 @@ from rrvision.breathing import (
     smooth,
 )
 from rrvision.config import BreathingConfig, ScheduleConfig
-from rrvision.window import MotionBuffer
+from rrvision.edges import canny
+from rrvision.window import MotionBuffer, Scratch
 
 from conftest import glibc_only, minor_faults_under_pinned_malloc, window_from_rows
 
@@ -210,7 +210,8 @@ class TestSelectAndGroup:
     def test_windows_on_one_set_of_planes_equal_bare_windows(self):
         # 40 rows of 20 s at 10/s, one window a second; flat stretches give G = 0 windows
         fs, rng = 10.0, np.random.default_rng(3)
-        buffer = MotionBuffer(40, fs, ScheduleConfig(window_s=20.0, step_s=1.0))
+        scratch = Scratch()
+        buffer = MotionBuffer(40, fs, ScheduleConfig(window_s=20.0, step_s=1.0), scratch)
         amplitudes, phases = rng.uniform(1.0, 30.0, 40), rng.uniform(0.0, 6.0, 40)
         events = []
         for i in range(700):
@@ -221,13 +222,16 @@ class TestSelectAndGroup:
                 column = np.full(40, 5.0)
             events.append(buffer.push_profile(column))
         windows = [w for w in events if w is not None]
-        assert all(w.planes is windows[0].planes for w in windows)
-        shapes = {select_and_group(dataclasses.replace(w, planes=None), CFG).shape[0] for w in windows}
+        shapes = {select_and_group(w, CFG).shape[0] for w in windows}
         assert shapes == {0, 6}  # flat windows and grouped ones, in one sequence
+        # between windows, Canny works in the same scratch and needs more of it than they do
+        img = rng.uniform(0.0, 255.0, (12, 16)).repeat(10, axis=0).repeat(10, axis=1)
+        mask = canny(img)
         valid = 0
         for w in windows:
-            got = analyze_window(w, CFG)
-            want = analyze_window(dataclasses.replace(w, planes=None), CFG)
+            assert np.array_equal(canny(img, scratch=scratch), mask)
+            got = analyze_window(w, CFG, scratch)
+            want = analyze_window(w, CFG)
             assert got == want
             assert len(got.series) == len(want.series)
             for a, b in zip(got.series, want.series):
@@ -238,10 +242,11 @@ class TestSelectAndGroup:
 
     def test_prediction_holds_no_view_into_the_planes(self):
         window = sine_window(15.0, 30.0, n_rows=40)
-        planes = np.empty((2,) + window.matrix.shape)
-        got = analyze_window(dataclasses.replace(window, planes=planes), CFG)
+        scratch = Scratch()
+        got = analyze_window(window, CFG, scratch)
         series = [(s.peak_indices.copy(), s.inst_rr.copy()) for s in got.series]
         assert got.valid and len(series) == 6
+        planes = scratch.request(2, *window.matrix.shape)  # all of the scratch
         planes.fill(np.nan)
         assert got == analyze_window(window, CFG)
         for s, (peaks, rr) in zip(got.series, series):
@@ -268,11 +273,12 @@ import resource
 import numpy as np
 from rrvision.breathing import analyze_window
 from rrvision.config import BreathingConfig, ScheduleConfig
-from rrvision.window import MotionBuffer
+from rrvision.window import MotionBuffer, Scratch
 rng = np.random.default_rng(0)
 cfg = BreathingConfig()
 for window_s in (20.0, 30.0):  # 400 and 600 columns at 20/s
-    buffer = MotionBuffer(100, 20.0, ScheduleConfig(window_s=window_s, step_s=1.0))
+    scratch = Scratch()
+    buffer = MotionBuffer(100, 20.0, ScheduleConfig(window_s=window_s, step_s=1.0), scratch)
     amplitudes = rng.uniform(1.0, 30.0, 100)
     analysed, i = 0, 0
     while analysed < 5:
@@ -282,7 +288,7 @@ for window_s in (20.0, 30.0):  # 400 and 600 columns at 20/s
         if window is None:
             continue
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        analyze_window(window, cfg)
+        analyze_window(window, cfg, scratch)
         if analysed >= 2:
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         analysed += 1

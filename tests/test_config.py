@@ -85,12 +85,13 @@ class TestValidate:
     @pytest.mark.parametrize("d, message", [
         ({"rr_min": -1.0, "rr_max": 0.0}, "need 0 <= rr_min < rr_max"),
         ({"smooth_s": -1.0}, "smooth_s must be >= 0"),
+        ({"prominence_factor": -0.1}, "prominence_factor must be >= 0"),
     ])
     def test_negative_breathing_values_rejected(self, d, message):
         with pytest.raises(ValueError, match=message):
             RunConfig.from_dict({"breathing": d}).validate()
 
-    @pytest.mark.parametrize("d", [{"rr_min": 0.0}, {"smooth_s": 0.0}])
+    @pytest.mark.parametrize("d", [{"rr_min": 0.0}, {"smooth_s": 0.0}, {"prominence_factor": 0.0}])
     def test_zero_breathing_values_accepted(self, d):
         RunConfig.from_dict({"breathing": d}).validate()
 

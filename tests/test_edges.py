@@ -18,7 +18,6 @@ from hypothesis.extra import numpy as hnp
 
 from rrvision.config import MIN_ROI_SIDE, CannyConfig
 from rrvision.edges import (
-    CannyScratch,
     _blur,
     _fold_and_bin,
     _gray_into,
@@ -31,6 +30,7 @@ from rrvision.edges import (
     gaussian_kernel,
     hysteresis,
 )
+from rrvision.window import Scratch
 
 from conftest import glibc_only, minor_faults_under_pinned_malloc
 
@@ -40,7 +40,7 @@ from conftest import glibc_only, minor_faults_under_pinned_malloc
 def gaussian_blur(img, sigma):
     k = gaussian_kernel(sigma)
     (h, w), r = img.shape[:2], len(k) // 2
-    planes = CannyScratch().planes((h + 2 * r) * (w + 2 * r))
+    planes = Scratch().request(3, (h + 2 * r) * (w + 2 * r))
     _blur(img, k, planes, planes[0])
     return _grid(planes[0], h, w + 2 * r)[:, :w]
 
@@ -409,7 +409,7 @@ class TestCannyScratch:
         shapes = [(240, 320), (90, 120), (250, 330), (240, 320)]  # shrink, grow past, shrink
         images = {shape: blocks(*shape, seed) for seed, shape in enumerate(dict.fromkeys(shapes))}
         oracles = {shape: oracle_canny(img, cfg) for shape, img in images.items()}
-        scratch = CannyScratch()
+        scratch = Scratch()
         masks = [canny(images[shape], cfg, scratch) for shape in shapes]
         for shape, mask in zip(shapes, masks):  # later calls did not write into earlier masks
             assert mask.any()
@@ -428,10 +428,10 @@ class TestCannyScratch:
         side = max(2 * r + 1, MIN_ROI_SIDE)
         rng = np.random.default_rng(r)
         shapes = [(side, side), (side, side + 3), (side + 5, side), (side + 2, 2 * side + 1)]
-        noise = CannyScratch()
-        for plane in noise.planes(3 * (side + 2 * r + 5) * (2 * side + 2 * r + 1)):
+        noise = Scratch()
+        for plane in noise.request(3, 3 * (side + 2 * r + 5) * (2 * side + 2 * r + 1)):
             plane[0::3], plane[1::3], plane[2::3] = np.nan, np.inf, -np.inf
-        larger = CannyScratch()
+        larger = Scratch()
         canny(blocks(3 * side, 4 * side + 1, r), cfg, larger)
         for h, w in shapes:
             levels = rng.integers(0, 256, size=(h // 3 + 1, w // 3 + 1, 3), dtype=np.uint8)
@@ -440,7 +440,7 @@ class TestCannyScratch:
             for roi, plane in ((rgb[..., 1], rgb[..., 1]), (rgb, gray),
                                (gray + rng.normal(0.0, 2.0, gray.shape),) * 2):
                 want = oracle_canny(plane, cfg)
-                assert np.array_equal(canny(roi, cfg, CannyScratch()), want)
+                assert np.array_equal(canny(roi, cfg, Scratch()), want)
                 with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
                                                             invalid="raise"):
                     warnings.simplefilter("error")
@@ -475,10 +475,11 @@ class TestCannyScratch:
 _FAULT_PROBE = """
 import resource
 import numpy as np
-from rrvision.edges import CannyScratch, canny
+from rrvision.edges import canny
+from rrvision.window import Scratch
 rng = np.random.default_rng(0)
 img = rng.uniform(0.0, 255.0, (24, 32)).repeat(10, axis=0).repeat(10, axis=1)
-scratch = CannyScratch()
+scratch = Scratch()
 for _ in range(2):
     canny(img, scratch=scratch)
 for _ in range(3):
@@ -546,7 +547,7 @@ class TestGrayscale:
         data[rng.random(data.shape) < 0.05] = 255
         crop = data[3:61, 5:70]  # a strided crop with an odd width, as the pipeline passes it
         gray = (crop[..., 0].astype(np.float64) + crop[..., 1] + crop[..., 2]) / 3.0
-        mask = canny(crop, scratch=CannyScratch())
+        mask = canny(crop, scratch=Scratch())
         assert mask.any()
         assert np.array_equal(mask, canny(gray))
 

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -7,6 +8,8 @@ from rrvision import pipeline
 from rrvision.config import RunConfig
 from rrvision.ingest import read_pnm, write_pnm
 from rrvision.pipeline import StageTimings, run_recording, run_stream
+from rrvision.roi import LandmarkSet, write_landmark_track
+from rrvision.window import Scratch
 
 from conftest import make_recording
 
@@ -257,3 +260,44 @@ class TestEpochStitching:
         run_recording(ds.video_path, reest_every_5s(), landmarks_path=ds.landmarks_path)
         assert ds.meta.frame_count == 1200
         assert len(calls) == 8  # frames 0, 150, ..., 1050
+
+
+class TestOneScratch:
+    def test_shared_scratch_predicts_as_fresh_memory(self, tmp_path, monkeypatch):
+        """One scratch serves Canny and the analysis, whichever of them needs more of it.
+
+        The chest box widens at the epoch start of frame 180, after three windows
+        were analysed: until then Canny asks for less than a window, from then on
+        for more. The same stream on fresh memory at every request agrees bit for bit.
+        """
+        ds = make_recording(tmp_path / "rec", duration_s=12.0, texture_seed=4)
+        wide_face = LandmarkSet((80.0, 30.0), (50.0, 18.0), (110.0, 18.0))  # 80x60 box -> 120x60
+        write_landmark_track(ds.landmarks_path, [(0, ds.geometry.landmarks), (180, wide_face)])
+        cfg = RunConfig()
+        cfg.schedule.window_s, cfg.schedule.reest_s = 4.0, 2.0
+
+        def run():
+            return list(run_stream(ds.video_path, cfg, landmarks_path=ds.landmarks_path))
+
+        shared = run()
+        shapes = []
+
+        def fresh(self, *shape):
+            shapes.append(shape)
+            return np.full(shape, np.nan)
+
+        monkeypatch.setattr(Scratch, "request", fresh)
+        want = run()
+
+        window = math.prod(shapes[0])  # the buffer's request, made before frame 0
+        canny_sizes = [math.prod(shape) for shape in shapes if len(shape) == 2]
+        grown = next(i for i, shape in enumerate(shapes) if math.prod(shape) > window)
+        assert canny_sizes[0] < window < canny_sizes[-1]
+        assert shapes[1:grown].count(shapes[0]) == 3  # windows analysed before Canny grows
+        assert len(want) == 9 and sum(p.valid for p in want) > 0
+        assert shared == want
+        for got, expected in zip(shared, want):
+            assert len(got.series) == len(expected.series)
+            for a, b in zip(got.series, expected.series):
+                assert a.peak_indices.tobytes() == b.peak_indices.tobytes()
+                assert a.inst_rr.tobytes() == b.inst_rr.tobytes()
