@@ -8,17 +8,18 @@ is averaged into a candidate respiratory wave. Every wave is smoothed,
 peak-picked and converted to an instantaneous-RR series; the group whose RR
 series is steadiest wins, and its mean is the prediction for the window.
 
-Peak picking is array code per wave: each local maximum's prominence comes
-from the nearest strictly higher sample on either side and the minimum
-between them, and the survivors are thinned tallest first in one pass over a
-mask of blocked samples. The prominence is taken over the wave's maxima and
-the valleys between consecutive ones: a (maxima x maxima) comparison finds
-each maximum's nearest higher maximum on either side, and the valleys from
-there to the peak hold its bracketing minimum. The result is the same as
-over every sample, because every sample from the nearest higher maximum to
-the nearest higher sample lies above the peak. The prediction keeps every
-group's RR series, so a configuration with fewer groups of the same size can
-be decided from the first of them.
+Peak picking is one pass over a window's whole (groups x N) stack of waves.
+Each local maximum's prominence comes from the nearest strictly higher sample
+on either side and the minimum between them. The stack is cut at every row
+start and every maximum, and one reduceat takes each segment's minimum, its
+valley. Two bounds from the valleys next to a maximum settle most maxima
+exactly; the rest take the valleys from their nearest higher maximum on
+either side, found for all rows at once by binary lifting. The result is the
+same as over every sample, because every sample from the nearest higher
+maximum to the nearest higher sample lies above the peak. The survivors are
+thinned tallest first in one loop over a mask of blocked samples. The
+prediction keeps every group's RR series, so a configuration with fewer
+groups of the same size can be decided from the first of them.
 
 The selection writes its (rows x N) working arrays into two float64 planes of
 the window's shape, requested from a Scratch: a stream passes its own, which
@@ -150,73 +151,141 @@ def smooth(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarray:
     return (csum[..., hi] - csum[..., lo]) / (hi - lo)
 
 
-def _prominence(wave: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Topographic prominence of each peak: drop to the higher of the two bracketing minima.
+def _items(wave: np.ndarray, starts: np.ndarray, peaks: np.ndarray):
+    """Cut rows laid end to end in ``wave`` at each row start and each local maximum.
+
+    ``starts`` holds each row's first index and ``peaks`` every local maximum
+    of every row, both ascending; a row's first sample is never a maximum.
+    The cuts are the items, in order. Returns each maximum's item index, and
+    for each item its height and its valley: the minimum of the segment from
+    the item up to the next one (its row's end for a row's last item). A row
+    start is an item of height +inf, and one more item of height and valley
+    +inf follows the last, so each row is fenced by items above any sample.
+    """
+    bounds = np.sort(np.concatenate((starts, peaks)))
+    item = np.searchsorted(bounds, peaks)
+    heights = np.full(len(bounds) + 1, np.inf)
+    heights[item] = wave[peaks]
+    valleys = np.full(len(bounds) + 1, np.inf)
+    np.minimum.reduceat(wave, bounds, out=valleys[:-1])
+    return item, heights, valleys
+
+
+def _item_prominence(heights: np.ndarray, valleys: np.ndarray, item: np.ndarray) -> np.ndarray:
+    """Topographic prominence of the maxima at ``item``: drop to the higher bracketing minimum.
 
     On each side the stretch runs up to the nearest sample strictly above the
-    peak (or the array border); its minimum includes the peak itself.
+    peak (or its row's border); its minimum includes the peak itself.
 
-    ``peaks`` must hold every local maximum of ``wave`` in ascending order, as
-    detect_peaks passes them. They cut the wave into k+1 segments: before the
-    first maximum, from each maximum up to the next, and from the last one to
-    the end. On each side, the segments between a peak and its nearest
-    strictly higher maximum (or the border) give the stretch's minimum once it
-    is capped at the peak's height. The result is exact. Let j be the nearest
-    sample above the peak on one side, and q the nearest maximum above it
-    there, or the border sample when there is none. If a sample s between q
-    and j were at or below the peak, the leftmost highest sample between s and
-    the peak would be a local maximum above the peak, nearer to it than q. So
-    every sample from q to j lies above the peak: the segments cover the
-    stretch, and the samples they add beyond it cannot lower the capped
-    minimum. With no j on a side, the segments cover the stretch exactly.
+    The items come from _items. On each side, the valleys from the nearest
+    item strictly above the peak (a higher maximum, or the border's +inf item)
+    up to the peak give the stretch's minimum once it is capped at the peak's
+    height. The result is exact. Let j be the nearest sample above the peak
+    on one side, and q the nearest maximum above it there, or the border
+    sample when there is none. If a sample s between q and j were at or below
+    the peak, the leftmost highest sample between s and the peak would be a
+    local maximum above the peak, nearer to it than q. So every sample from q
+    to j lies above the peak: the valleys cover the stretch, and the samples
+    they add beyond it cannot lower the capped minimum. With no j on a side,
+    the valleys cover the stretch exactly.
+
+    The nearest higher items are found by binary lifting. Level j of a table
+    holds the tallest height of every run of 2**j items, and each search
+    widens its run of items at or below the peak by the largest steps that
+    keep it so. The tables hold 2 x items x log2(items) values, whatever the
+    heights.
     """
-    k = len(peaks)
-    if k == 0:
-        return np.empty(0)
-    height = wave[peaks]
-    seg = np.minimum.reduceat(wave, np.concatenate(([0], peaks)))
-    higher = height > height[:, None]  # row i, column j: maximum j is strictly above maximum i
-    left_of = np.tri(k, dtype=bool)  # j <= i; the diagonal is never higher
-    rows = np.arange(k)
-    on_left, on_right = higher & left_of, higher > left_of  # > on booleans: and not
-    left = k - 1 - on_left[:, ::-1].argmax(axis=1)
-    left = np.where(on_left[rows, left], left, -1)
-    right = on_right.argmax(axis=1)
-    right = np.where(on_right[rows, right], right, k)
-    # segments [left+1, i+1) and [i+1, right+1) as every other reduceat range;
-    # the appended inf makes right+1 = k+1 a valid start
-    bounds = np.stack([left + 1, rows + 1, rows + 1, right + 1], axis=1).ravel()
-    sides = np.minimum.reduceat(np.append(seg, np.inf), bounds)[::2].reshape(k, 2)
-    return height - np.minimum(sides.max(axis=1), height)
+    k, size = len(item), len(heights)
+    h = heights[item]
+    # the next item to test on each side; right-side positions index the tables' second half
+    pos = np.concatenate((item - 1, item + 1 + size))
+    step = np.repeat([-1, 1], k)
+    levels = (size - 2).bit_length()  # runs of up to 2**levels - 1 items: a whole row
+    table, pad, tables = heights, np.full(1 << levels, np.inf), []
+    for j in range(levels):
+        if j:
+            half = 1 << (j - 1)
+            table = np.maximum(table[:-half], table[half:])
+        # first half: the run ending at each item; second half: the run starting there
+        edge = pad[: (1 << j) - 1]
+        tables.append(np.concatenate((edge, table, table, edge)))
+    below = np.concatenate((h, h))
+    for j in reversed(range(levels)):
+        np.add(pos, step << j, out=pos, where=tables[j][pos] <= below)
+    # valleys [left, item) and [item, right) as every other reduceat range
+    bounds = np.stack((pos[:k], item, item, pos[k:] - size), axis=1).ravel()
+    sides = np.minimum.reduceat(valleys, bounds)[::2].reshape(k, 2)
+    return h - np.minimum(sides.max(axis=1), h)
 
 
-def detect_peaks(wave: np.ndarray, fs: float, cfg: BreathingConfig) -> np.ndarray:
-    """Peak indices: local maxima with enough prominence, spaced apart.
+def _prominence(wave: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Prominence of each local maximum of one wave, the one-row case of _item_prominence.
 
-    A local maximum satisfies wave[i] > wave[i-1] and wave[i] >= wave[i+1]
-    (the leftmost sample of a plateau). Peaks need prominence of at least
-    prominence_factor * std(wave), and peaks closer than fs*60/rr_max samples
-    are thinned greedily by descending height, keeping the taller one.
+    ``peaks`` must hold every local maximum of ``wave`` in ascending order.
     """
-    w = np.asarray(wave, dtype=np.float64)
-    n = len(w)
+    item, heights, valleys = _items(wave, [0], peaks)
+    return _item_prominence(heights, valleys, item)
+
+
+def detect_peaks(waves: np.ndarray, fs: float, cfg: BreathingConfig):
+    """Peak indices of a wave, or a list of them for each row of a (G, N) stack of waves.
+
+    A local maximum satisfies w[i] > w[i-1] and w[i] >= w[i+1] (the leftmost
+    sample of a plateau). Peaks need prominence of at least thr =
+    prominence_factor * the std of their row, and peaks closer than
+    fs*60/rr_max samples are thinned greedily by descending height, keeping
+    the taller one. A 1-D wave is the one-row case of the stack.
+
+    Two bounds from the valleys of _items settle most maxima exactly, so
+    _item_prominence runs once, for the rest. Let h be a maximum's height and
+    vL, vR the valleys of the segments on its left and right. Between two
+    consecutive items a row is non-increasing, then strictly rising: a strict
+    rise followed by none would be a local maximum. So each adjacent
+    segment's bottom lies in the stretch on its side, and prominence >= h -
+    max(vL, vR): accept when that is >= thr. If the neighbouring item on a
+    side is strictly higher, that side's stretch ends within the segment, at
+    that maximum or the border at the latest, and holds its bottom, so its
+    minimum is exactly the valley v, and prominence <= h - v: reject when
+    h - v < thr. The valleys are samples, selected and never computed, and a
+    rounded subtraction is monotone, so both tests agree bit for bit with
+    prominence >= thr.
+    """
+    w = np.asarray(waves, dtype=np.float64)
+    stack = np.atleast_2d(w)
+    n_rows, n = stack.shape
     if n < 3:
-        return np.empty(0, dtype=np.int64)
-    candidates = np.nonzero((w[1:-1] > w[:-2]) & (w[1:-1] >= w[2:]))[0] + 1
-    # every prominence is >= 0, so a wave whose std is 0 keeps every candidate
-    candidates = candidates[_prominence(w, candidates) >= cfg.prominence_factor * w.std()]
+        peaks = [np.empty(0, dtype=np.int64) for _ in range(n_rows)]
+        return peaks if w.ndim == 2 else peaks[0]
+    row, col = np.nonzero((stack[:, 1:-1] > stack[:, :-2]) & (stack[:, 1:-1] >= stack[:, 2:]))
+    col += 1
+    # every prominence is >= 0, so a row whose std is 0 keeps every maximum
+    thr = (cfg.prominence_factor * _row_std(stack, None))[row]
+    item, heights, valleys = _items(stack.ravel(), np.arange(0, n_rows * n, n), row * n + col)
+    h, v_left, v_right = heights[item], valleys[item - 1], valleys[item]
+    keep = h - np.maximum(v_left, v_right) >= thr
+    v_higher = np.maximum(np.where(heights[item - 1] > h, v_left, -np.inf),
+                          np.where(heights[item + 1] > h, v_right, -np.inf))
+    # a row with a non-finite sample has a NaN thr, so none of its maxima is kept or unsettled
+    unsettled = ~keep & (h - v_higher >= thr)
+    keep[unsettled] = _item_prominence(heights, valleys, item[unsettled]) >= thr[unsettled]
+    row, col, h = row[keep], col[keep], h[keep]
 
     # greedy, tallest first with ties to the lower index: a peak is kept unless a kept one lies
-    # within reach, closer than min_dist = fs*60/rr_max (capped at n: n - 1 blocks every sample)
+    # within reach, closer than min_dist = fs*60/rr_max (capped at n: n - 1 blocks every sample);
+    # rows sit reach apart in one blocked mask, so a row's block never reaches the next row
     reach = math.ceil(min(fs * 60.0 / cfg.rr_max, n)) - 1
-    blocked = np.zeros(n, dtype=bool)
-    kept = np.zeros(len(candidates), dtype=bool)
-    for k in np.argsort(-w[candidates], kind="stable"):
-        i = candidates[k]
+    stride = n + reach
+    blocked = np.zeros(n_rows * stride + reach, dtype=bool)
+    kept = np.zeros(len(col), dtype=bool)
+    order = np.argsort(-h, kind="stable")
+    for k, i in zip(order.tolist(), (row * stride + col + reach)[order].tolist()):
         if not blocked[i]:
             kept[k] = True
-            blocked[max(i - reach, 0) : i + reach + 1] = True
-    return candidates[kept].astype(np.int64)
+            blocked[i - reach : i + reach + 1] = True
+    ends = np.searchsorted(row[kept], np.arange(n_rows + 1)).tolist()
+    col = col[kept]
+    peaks = [col[a:b] for a, b in zip(ends[:-1], ends[1:])]
+    return peaks if w.ndim == 2 else peaks[0]
 
 
 def instantaneous_rr(peak_indices: np.ndarray, fs: float, cfg: BreathingConfig) -> RRSeries:
@@ -233,11 +302,13 @@ def best_group(series_per_group: list[RRSeries], cfg: BreathingConfig) -> Option
 
     Eligible means at least min_peaks peaks and at least 2 retained RR
     values (so the std is meaningful). Ties break toward the lower index.
-    Returns None when no group qualifies.
+    Returns None when no group qualifies. A series' std is _row_std of it as
+    a one-row stack, np.std's own steps.
     """
     eligible = [i for i, s in enumerate(series_per_group)
                 if len(s.peak_indices) >= cfg.min_peaks and len(s.inst_rr) >= 2]
-    return min(eligible, key=lambda i: float(np.std(series_per_group[i].inst_rr)), default=None)
+    spread = lambda i: float(_row_std(np.reshape(series_per_group[i].inst_rr, (1, -1)), None)[0])
+    return min(eligible, key=spread, default=None)
 
 
 def predict(series: list[RRSeries], t: float, cfg: BreathingConfig) -> RRPrediction:
@@ -259,5 +330,5 @@ def analyze_window(window: MotionWindow, cfg: BreathingConfig,
     """Full per-window analysis, worked in `scratch`; invalid when no group qualifies."""
     fs = window.fs
     waves = smooth(group_to_wave(select_and_group(window, cfg, scratch)), fs, cfg)
-    series = [instantaneous_rr(detect_peaks(wave, fs, cfg), fs, cfg) for wave in waves]
+    series = [instantaneous_rr(peaks, fs, cfg) for peaks in detect_peaks(waves, fs, cfg)]
     return predict(series, window.end_time_s, cfg)

@@ -11,8 +11,11 @@ are resampled to a fixed canonical length so the motion matrix stays
 rectangular when the ROI size changes between re-estimation epochs.
 
 The mask only changes at epoch starts, so everything that depends on it
-alone is worked out once per epoch, in a RowPlan. A profile is a plain
-float64 array; which epoch it belongs to is the motion buffer's business.
+alone is worked out once per epoch, in a RowPlan. That includes whether the
+mask is full, as in full_roi mode: then the crop's rows are summed as they
+are, and with every row valid the fill is skipped, with the same bytes. A
+profile is a plain float64 array; which epoch it belongs to is the motion
+buffer's business.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ class RowPlan:
 
     shape: tuple  # the crops' shape: (h, w) for GRAY8, (h, w, channels) otherwise
     mask: np.ndarray  # uint8 (h, w * channels): 1 on the samples of mask pixels, else 0
+    full: bool  # every pixel is a mask pixel: rows are summed as they are
     valid_rows: np.ndarray  # indices of the rows with at least one mask pixel
     divisors: np.ndarray  # masked samples in each valid row: channels x mask pixels
     rows: np.ndarray  # 0..h-1 as float64, the raw profile's sample positions
@@ -46,6 +50,7 @@ def plan_rows(mask: np.ndarray, canonical_len: int, channels: int = 1) -> RowPla
     return RowPlan(
         shape=(h, w) if channels == 1 else (h, w, channels),
         mask=np.repeat(np.asarray(mask, dtype=bool).view(np.uint8), channels, axis=1),
+        full=bool((counts == w).all()),
         valid_rows=valid_rows,
         divisors=channels * counts[valid_rows],
         rows=np.arange(h, dtype=np.float64),
@@ -57,16 +62,17 @@ def extract_profile(pixels: np.ndarray, plan: RowPlan) -> np.ndarray:
     """One frame's masked row means, filled and resampled to the canonical length.
 
     `pixels` is the frame's uint8 crop, shaped as the plan says; it is only
-    read. Zeroing the samples outside the mask and summing each row in
-    uint32 gives the exact integer sum in any order, and one division by the
-    row's sample count then gives the exact mean, correctly rounded.
+    read. Zeroing the samples outside the mask (a full mask has none) and
+    summing each row in uint32 gives the exact integer sum in any order, and
+    one division by the row's sample count then gives the exact mean,
+    correctly rounded.
     """
     if pixels.dtype != np.uint8:
         raise ValueError(f"pixels must be uint8, not {pixels.dtype}")
     if pixels.shape != plan.shape:
         raise ValueError(f"pixels of shape {pixels.shape} do not fit a plan for {plan.shape}")
-    masked = np.multiply(pixels.reshape(plan.mask.shape), plan.mask)
-    sums = masked.sum(axis=1, dtype=np.uint32)
+    rows = pixels.reshape(plan.mask.shape)
+    sums = (rows if plan.full else np.multiply(rows, plan.mask)).sum(axis=1, dtype=np.uint32)
     return fill_and_resample(sums[plan.valid_rows] / plan.divisors, plan)
 
 
@@ -74,8 +80,9 @@ def fill_and_resample(means: np.ndarray, plan: RowPlan) -> np.ndarray:
     """The valid rows' means, filled over the empty rows and resampled.
 
     Interpolating at a sample position returns that sample exactly, so the
-    fill leaves valid rows untouched and resampling to the ROI height is the
-    identity.
+    fill leaves valid rows untouched, and is skipped when every row is valid,
+    and resampling to the ROI height is the identity.
     """
-    raw = np.interp(plan.rows, plan.valid_rows, means)
+    every_row = len(plan.valid_rows) == len(plan.rows)
+    raw = means if every_row else np.interp(plan.rows, plan.valid_rows, means)
     return np.interp(plan.positions, plan.rows, raw)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from rrvision import breathing
 from rrvision.breathing import (
     RRSeries,
     _prominence,
@@ -521,6 +523,120 @@ class TestProminence:
         assert peak_bytes < 2_000_000
 
 
+def open_maxima(monkeypatch):
+    """Patch breathing._item_prominence to record how many maxima each call evaluates."""
+    calls, exact = [], breathing._item_prominence
+
+    def recording(heights, valleys, item):
+        calls.append(len(item))
+        return exact(heights, valleys, item)
+
+    monkeypatch.setattr(breathing, "_item_prominence", recording)
+    return calls
+
+
+class TestPeakStack:
+    """detect_peaks on a (G, N) stack: each row as the per-row oracle, the bounds exact."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        fs=st.sampled_from([7.5, 12.5, 20.0, 29.97, 30.0]),
+        rr_max=st.sampled_from([45.0, 200.0]),  # min_dist of 10-40 samples, or of 2-9
+        factor=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_matches_per_row_oracle(self, data, fs, rr_max, factor):
+        cfg = BreathingConfig(rr_max=rr_max, prominence_factor=factor)
+        n_rows, n = data.draw(st.integers(0, 6)), data.draw(st.integers(1, 60))
+        levels = data.draw(st.sampled_from([2, 5, None]))  # plateaus and equal heights, or not
+        elements = (st.floats(-1e3, 1e3) if levels is None
+                    else st.integers(0, levels).map(float))
+        stack = data.draw(hnp.arrays(np.float64, (n_rows, n), elements=elements))
+        got = detect_peaks(stack, fs, cfg)
+        assert isinstance(got, list) and len(got) == n_rows
+        for row, peaks in zip(stack, got):
+            assert peaks.dtype == np.int64
+            assert list(peaks) == oracle_detect_peaks(row, fs, cfg)
+            assert np.array_equal(detect_peaks(row, fs, cfg), peaks)
+
+    def test_matches_oracle_on_smoothed_window_length_walks(self):
+        rng = np.random.default_rng(27)
+        for k in range(40):
+            n_rows, n = int(rng.integers(1, 7)), int(rng.integers(400, 901))
+            stack = np.cumsum(rng.normal(0, 1, (n_rows, n)), axis=1)
+            stack = smooth(stack, 30.0, CFG)
+            if k % 2:
+                stack = np.round(stack * 2) / 2
+            got = detect_peaks(stack, 30.0, CFG)
+            for row, peaks in zip(stack, got):
+                assert list(peaks) == oracle_detect_peaks(row, 30.0, CFG)
+
+    def test_empty_stack_and_short_rows(self):
+        assert detect_peaks(np.empty((0, 600)), 30.0, CFG) == []
+        for n in (0, 1, 2):
+            got = detect_peaks(np.zeros((3, n)), 30.0, CFG)
+            assert len(got) == 3 and all(p.dtype == np.int64 and len(p) == 0 for p in got)
+        got = detect_peaks(np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [2.0, 1.0, 0.0]]), 30.0, CFG)
+        assert [list(p) for p in got] == [[1], [], []]
+
+    @pytest.mark.parametrize("row,factor,want", [
+        ([0.0, 5.0, 0.0, 4.0, 0.0, 5.0, 0.0], 0.3, [1, 3, 5]),  # every adjacent valley is deep
+        ([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0], 2.0, [1, 3]),  # std 1: the drop 2 equals thr
+    ])
+    def test_accept_bound_alone_decides(self, monkeypatch, row, factor, want):
+        calls = open_maxima(monkeypatch)
+        row, cfg = np.array(row), BreathingConfig(prominence_factor=factor)
+        assert list(detect_peaks(row, 0.5, cfg)) == oracle_detect_peaks(row, 0.5, cfg) == want
+        assert sum(calls) == 0
+
+    @pytest.mark.parametrize("row", [
+        [0.0, 10.0, 4.0, 4.5, 4.0, 10.0, 0.0],  # a bump between two higher maxima
+        [0.0, 10.0, 4.0, 4.5, 4.2, 4.3, 0.0],  # higher on one side only: a maximum, a border
+    ])
+    def test_reject_bound_alone_decides(self, monkeypatch, row):
+        calls = open_maxima(monkeypatch)
+        row = np.array(row)
+        got = list(detect_peaks(row, 0.5, CFG))
+        assert got == oracle_detect_peaks(row, 0.5, CFG) and 3 not in got
+        assert sum(calls) == 0
+
+    def test_open_maxima_take_the_exact_prominence(self, monkeypatch):
+        calls = open_maxima(monkeypatch)
+        # equal maxima over a shallow valley: neither is strictly above the other, both reach -5
+        row = np.array([-5.0, 1.0, 0.9, 1.0, -5.0])
+        assert list(detect_peaks(row, 0.5, CFG)) == oracle_detect_peaks(row, 0.5, CFG) == [1, 3]
+        assert calls == [2]
+
+    def test_threshold_equal_to_the_drop_is_kept(self, monkeypatch):
+        # the maximum at 3 (height 5) has a higher left neighbour over the valley 2, and its
+        # right stretch reaches 1: its prominence is 5 - 2 = 3, the upper bound exactly
+        row = np.array([0.0, 10.0, 2.0, 5.0, 4.0, 4.5, 1.0, 12.0, 0.0])
+        factor = 3.0 / row.std()
+        assert factor * row.std() == 3.0
+        cfg = BreathingConfig(prominence_factor=float(factor))
+        assert oracle_prominence(row, 3) == 3.0
+        calls = open_maxima(monkeypatch)
+        assert list(detect_peaks(row, 0.5, cfg)) == oracle_detect_peaks(row, 0.5, cfg) == [1, 3, 7]
+        assert calls == [1]  # 1 and 7 are accepted, 5 rejected, 3 left open
+        stack = np.stack([row, row[::-1]])  # mirrored: the higher neighbour on the right
+        assert [list(p) for p in detect_peaks(stack, 0.5, cfg)] == [[1, 3, 7], [1, 5, 7]]
+
+    def test_memory_stays_under_two_mb_with_every_maximum_open(self, monkeypatch):
+        row = np.tile([0.9, 1.0], 450)
+        row[0] = row[-1] = -100.0  # deep border segments: no bound settles any maximum
+        stack = np.tile(row, (6, 1))
+        calls = open_maxima(monkeypatch)
+        tracemalloc.start()
+        try:
+            got = detect_peaks(stack, 30.0, CFG)
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [6 * 449]
+        assert all(list(p) == oracle_detect_peaks(row, 30.0, CFG) for p in got)
+        assert peak_bytes < 2_000_000
+
+
 class TestInstantaneousRR:
     def test_three_second_ibis(self):
         s = instantaneous_rr(np.array([0, 90, 180]), 30.0, CFG)
@@ -589,6 +705,22 @@ class TestBestGroupAndPredict:
         pred = analyze_window(window_from_rows(np.full((40, 600), 9.0)), CFG)
         assert not pred.valid
         assert pred.rr_bpm is None and pred.group_index is None and pred.n_peaks == 0
+
+
+class TestBestGroupStd:
+    def test_series_std_equals_numpy_std_bit_for_bit_20000_series(self):
+        rng = np.random.default_rng(20)
+        previous = None
+        for k in range(20000):
+            n = int(rng.integers(1, 300))
+            rr = rng.uniform(6.0, 45.0, n) + rng.normal(0, 10.0 ** rng.uniform(-4, 1))
+            if k % 3 == 0:  # integer rates: equal values and exact sums
+                rr = np.round(rr)
+            assert _row_std(rr.reshape(1, -1), None)[0] == np.std(rr)
+            if n >= 2 and previous is not None:
+                want = 0 if np.std(previous) <= np.std(rr) else 1
+                assert best_group([series(previous), series(rr)], CFG) == want
+            previous = rr if n >= 2 else previous
 
 
 class TestGroupPrefix:

@@ -150,6 +150,42 @@ class TestEdgesProfile:
             extract_profile(np.ones((3, 4), dtype), plan)
 
 
+def masked_path(pixels, plan):
+    """The profile by the general rule: masked sums, the fill over every row, then resampling."""
+    sums = np.multiply(pixels.reshape(plan.mask.shape), plan.mask).sum(axis=1, dtype=np.uint32)
+    raw = np.interp(plan.rows, plan.valid_rows, sums[plan.valid_rows] / plan.divisors)
+    return np.interp(plan.positions, plan.rows, raw)
+
+
+class TestFullMask:
+    """A full mask skips the multiply and every row valid skips the fill; the bytes are the same."""
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_full_mask_profile_equals_the_masked_path(self, channels):
+        rng = np.random.default_rng(9)
+        for h, w, length in [(60, 80, 100), (120, 160, 100), (7, 5, 3), (2, 1, 9)]:
+            plan = plan_rows(np.ones((h, w), dtype=bool), length, channels)
+            assert plan.full
+            for _ in range(5):
+                frame = random_crop(rng, h + 4, w + 6, channels == 3)
+                crop = frame[2 : 2 + h, 3 : 3 + w]  # a strided crop, as the pipeline passes it
+                assert extract_profile(crop, plan).tobytes() == masked_path(crop, plan).tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_partial_masks_equal_the_masked_path(self, channels):
+        rng = np.random.default_rng(10)
+        for k in range(200):
+            h, w = int(rng.integers(2, 30)), int(rng.integers(1, 30))
+            mask = rng.random((h, w)) < rng.uniform(0.1, 0.9)
+            mask[0, 0] = True
+            if k % 2:  # every row valid, so the fill is skipped, though the mask need not be full
+                mask[np.arange(h), rng.integers(0, w, size=h)] = True
+            plan = plan_rows(mask, int(rng.integers(2, 40)), channels)
+            assert plan.full == bool(mask.all())
+            crop = random_crop(rng, h, w, channels == 3)
+            assert extract_profile(crop, plan).tobytes() == masked_path(crop, plan).tobytes()
+
+
 class TestResample:
     def test_identity_when_lengths_match(self):
         raw = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
