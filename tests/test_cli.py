@@ -49,6 +49,18 @@ class TestRun:
         ts = [row.split(",")[0] for row in defaulted.read_text().splitlines()[1:]]
         assert ts == ["20.000", "21.000", "22.000"]
 
+    def test_truncated_frame_header_mid_sequence_exits_1_naming_the_frame(self, capsys,
+                                                                         tmp_path):
+        ds = make_recording(tmp_path / "seq", duration_s=1.0, container="images")
+        (ds.video_path / "frame_000002.pgm").write_bytes(b"P5\n160")
+        out_csv = tmp_path / "f.csv"
+        code, out, err = run_cli(capsys, "run", ds.video_path, "--out", out_csv)
+        assert code == 1
+        assert out == ""
+        assert not out_csv.exists()
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "frame_000002.pgm" in line
+
     def test_short_video_warns(self, capsys, tmp_path):
         ds = make_recording(tmp_path / "short", duration_s=10.0)
         code, out, err = run_cli(capsys, "run", ds.video_path, "--landmarks", ds.landmarks_path)
