@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import rrvision
-from rrvision.config import RunConfig
 from rrvision.synth import SynthConfig, generate
 from rrvision.window import MotionWindow
 
@@ -59,8 +58,3 @@ def minor_faults_under_pinned_malloc(probe: str) -> list[int]:
 def cadence_recording(tmp_path_factory):
     """60 s at 30 FPS: the canonical cadence / CLI fixture."""
     return make_recording(tmp_path_factory.mktemp("cadence") / "rec", texture_seed=11)
-
-
-@pytest.fixture
-def run_config():
-    return RunConfig()

@@ -1,5 +1,9 @@
+import dataclasses
+import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -108,3 +112,12 @@ class TestValidate:
     @pytest.mark.parametrize("k_top", [0.0, -0.5])
     def test_k_top_is_free(self, k_top):
         RunConfig.from_dict({"geometry": {"k_top": k_top}}).validate()
+
+
+class TestDocumentedDefaults:
+    def test_readme_json_block_is_the_run_config_defaults(self):
+        # the README states the defaults once, in its one json block
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```json\n(.*?)^```$", readme, re.M | re.S)
+        assert len(blocks) == 1
+        assert json.loads(blocks[0]) == dataclasses.asdict(RunConfig())

@@ -219,6 +219,10 @@ def vstep(h, w, col, contrast=255.0):
     return img
 
 
+# the step images of TestCannyAgainstOracle, which acceptance criterion 5 also runs
+STEP_COLS, STEP_CONTRASTS, STEP_ROWS = range(8, 17), (80.0, 255.0), (9, 12, 15)
+
+
 # --- tests -------------------------------------------------------------------
 
 
@@ -303,14 +307,14 @@ class TestCannyAgainstOracle:
     def test_uniform_image_has_no_edges(self):
         assert not canny(np.full((24, 24), 137.0), CannyConfig()).any()
 
-    @pytest.mark.parametrize("col", range(8, 17))
-    @pytest.mark.parametrize("contrast", [80.0, 255.0])
+    @pytest.mark.parametrize("col", STEP_COLS)
+    @pytest.mark.parametrize("contrast", STEP_CONTRASTS)
     def test_vertical_steps_match_oracle_exactly(self, col, contrast):
         cfg = CannyConfig()
         img = vstep(24, 24, col, contrast)
         assert np.array_equal(canny(img, cfg), oracle_canny(img, cfg))
 
-    @pytest.mark.parametrize("row", [9, 12, 15])
+    @pytest.mark.parametrize("row", STEP_ROWS)
     def test_horizontal_steps_match_oracle_exactly(self, row):
         cfg = CannyConfig()
         img = vstep(24, 24, row).T
