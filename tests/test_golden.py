@@ -11,6 +11,10 @@ cells, and over fractions that fall below the group fraction (0.02) and
 between the defaults (0.15). The tables are the only output that shows
 ``best_group_ge2_share``.
 
+The synthetic generator is pinned by the sha256 of every file ``generate``
+writes for six short recordings, one per container and stressor: a changed
+pixel that moves no prediction row still fails.
+
 Canny itself is pinned at deployment size: the uint8 landmark ROI (320x240)
 of a seeded 640x480 RGB24 scene, at a few frames and three blur sigmas, as
 the sha256 of each packed edge mask. The recordings above only ever run Canny on
@@ -34,7 +38,7 @@ from rrvision.cli import main
 from rrvision.config import CannyConfig, RoiGeometryConfig, RunConfig
 from rrvision.edges import canny
 from rrvision.roi import roi_from_landmarks
-from rrvision.synth import SynthConfig, _Scene
+from rrvision.synth import SynthConfig, _Scene, generate
 
 from conftest import make_recording
 
@@ -57,6 +61,21 @@ VGA_SCENE = dict(
     width=640, height=480, fps=30.0, duration_s=4.0, rr_segments=[(0.0, 15.0)],
     noise_sigma=2.0, pixel_format="RGB24", texture_seed=7,
 )
+# short recordings whose written files are pinned by digest: each container and stressor
+SYNTH_BASE = dict(width=96, height=72, fps=30.0, duration_s=1.0, rr_segments=[(0.0, 15.0)],
+                  noise_sigma=2.0)
+SYNTH_RECORDINGS = {
+    "rgb24_raw_noise": dict(pixel_format="RGB24", texture_seed=51),
+    "gray8_raw_walk_drift": dict(pixel_format="GRAY8", texture_seed=52, walk_row_frac=0.1,
+                                 walk_amplitude=30.0, illum_drift=4.0),
+    "gray8_raw_jump": dict(pixel_format="GRAY8", texture_seed=53, roi_jump_at_s=0.5,
+                           rr_segments=[(0.0, 12.0), (0.4, 24.0)]),
+    "rgb24_raw_noiseless": dict(pixel_format="RGB24", texture_seed=54, noise_sigma=0.0),
+    "rgb24_ppm": dict(pixel_format="RGB24", container="images", texture_seed=55,
+                      duration_s=0.5),
+    "gray8_pgm": dict(pixel_format="GRAY8", container="images", texture_seed=56,
+                      duration_s=0.5, illum_drift=-3.0),
+}
 VGA_FRAMES = (0, 30, 60)  # a quarter and a half breath apart
 VGA_SIGMAS = (1.0, 1.4, 2.0)
 
@@ -102,6 +121,18 @@ def vga_edge_masks() -> str:
     return "\n".join(rows) + "\n"
 
 
+def synth_digests(root: Path) -> str:
+    """One CSV row per file ``generate`` writes: recording, relative path, sha256."""
+    rows = ["recording,file,sha256"]
+    for name, params in SYNTH_RECORDINGS.items():
+        out = root / name
+        generate(SynthConfig(**{**SYNTH_BASE, **params}), out)
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            rows.append(f"{name},{path.relative_to(out).as_posix()},{digest}")
+    return "\n".join(rows) + "\n"
+
+
 def predictions(ds, mode: str, frac: str, reest: str, out: Path) -> str:
     code = main(
         [
@@ -140,6 +171,11 @@ def test_ablation_table_matches_golden(name, recordings, walk_recording):
     assert got == (GOLDEN_DIR / f"ablation_{name}.csv").read_text(encoding="utf-8")
 
 
+def test_synth_files_match_golden(tmp_path):
+    got = synth_digests(tmp_path)
+    assert got == (GOLDEN_DIR / "synth_sha256.csv").read_text(encoding="utf-8")
+
+
 def test_vga_edge_masks_match_golden():
     assert vga_edge_masks() == (GOLDEN_DIR / "canny_vga_masks.csv").read_text(encoding="utf-8")
 
@@ -149,6 +185,9 @@ if __name__ == "__main__":
     (GOLDEN_DIR / "canny_vga_masks.csv").write_text(vga_edge_masks(), encoding="utf-8")
     print("wrote canny_vga_masks.csv")
     with tempfile.TemporaryDirectory() as tmp:
+        digests = synth_digests(Path(tmp) / "synth")
+        (GOLDEN_DIR / "synth_sha256.csv").write_text(digests, encoding="utf-8")
+        print("wrote synth_sha256.csv")
         recs = render(Path(tmp))
         for case in CASES:
             name = case_name(*case)

@@ -302,17 +302,21 @@ def _vm_rss_bytes() -> int:
 class TestSynthRoundTrip:
     """Writing a synthetic stream and reading it back is bit-identical."""
 
-    @pytest.mark.parametrize("container", ["raw", "images"])
-    def test_round_trip(self, tmp_path, container):
+    @pytest.mark.parametrize("container, pixel_format", [
+        pytest.param("raw", "GRAY8", id="raw"),
+        pytest.param("images", "GRAY8", id="images"),
+        pytest.param("raw", "RGB24", id="raw-RGB24"),
+        pytest.param("images", "RGB24", id="images-RGB24"),
+    ])
+    def test_round_trip(self, tmp_path, container, pixel_format):
         from rrvision.synth import SynthConfig, _Scene
 
-        ds = make_recording(
-            tmp_path / "rec", duration_s=1.0, container=container, texture_seed=5
-        )
+        ds = make_recording(tmp_path / "rec", duration_s=1.0, container=container,
+                            pixel_format=pixel_format, texture_seed=5)
         scene = _Scene(
             SynthConfig(
                 width=160, height=120, fps=30.0, duration_s=1.0,
-                rr_segments=[(0.0, 15.0)], noise_sigma=2.0, pixel_format="GRAY8",
+                rr_segments=[(0.0, 15.0)], noise_sigma=2.0, pixel_format=pixel_format,
                 container=container, texture_seed=5,
             )
         )

@@ -10,7 +10,7 @@ from rrvision.pipeline import run_recording
 from rrvision.roi import LandmarkSet, load_landmark_track, roi_from_landmarks
 from rrvision.synth import SynthConfig, _Scene, generate, scene_geometry
 
-from conftest import make_recording
+from conftest import glibc_only, make_recording, minor_faults_under_pinned_malloc
 
 
 def small_cfg(**overrides):
@@ -183,6 +183,43 @@ class TestRenderedMotionOracle:
         a = scene.render(0)
         b = scene.render(15)  # 0.5 s later -> +5 intensity
         assert b - a == pytest.approx(np.full_like(a, 5.0), abs=1e-9)
+
+
+class TestKeptPlanes:
+    def test_renders_own_their_planes(self):
+        scene = _Scene(small_cfg(pixel_format="RGB24"))
+        a, b = scene.render_quantized(0), scene.render_quantized(1)
+        assert not any(np.shares_memory(r, p) for r in (a, b) for p in scene.planes)
+        assert not np.shares_memory(a, b)
+
+    @glibc_only
+    def test_warm_vga_frames_fault_no_fresh_pages(self):
+        """Minor page faults of warm 640x480 RGB24 frames rendered and written as generate does.
+
+        The probe runs in a fresh interpreter with malloc pinned, so a
+        2.4 MB float64 plane allocated per frame would fault its 600 pages
+        at every frame.
+        """
+        faults = minor_faults_under_pinned_malloc(_RENDER_FAULT_PROBE)
+        assert len(faults) == 3
+        assert max(faults) < 64, faults
+
+
+# three warm frames of a VGA RGB24 scene, each one's minor faults on a line
+_RENDER_FAULT_PROBE = """
+import os
+import resource
+from rrvision.synth import SynthConfig, _Scene
+scene = _Scene(SynthConfig(width=640, height=480, duration_s=1.0, noise_sigma=2.0,
+                           pixel_format="RGB24", walk_row_frac=0.05, walk_amplitude=10.0,
+                           illum_drift=1.0))
+with open(os.devnull, "wb") as fh:
+    for i in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        fh.write(scene._quantize_into(i, *scene.planes))
+        if i >= 2:
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
 
 
 class TestDegenerateMotionless:
