@@ -23,7 +23,8 @@ groups of the same size can be decided from the first of them.
 
 The selection writes its (rows x N) working arrays into two float64 planes of
 the window's shape, requested from a Scratch: a stream passes its own, which
-Canny shares between windows, so its windows fault in no fresh heap pages."""
+Canny shares between windows, so a warm window allocates less than one such plane,
+as tracemalloc traces it."""
 
 from __future__ import annotations
 

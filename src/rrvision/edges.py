@@ -25,7 +25,11 @@ double-threshold hysteresis with 8-connectivity. Everything is deterministic:
 The input is the crop as the reader gives it: the first float64 plane takes an
 RGB24 crop's exact channel mean, or a GRAY8 plane as it is. Masks are plain
 boolean arrays, True where a pixel participates in profile averaging. The planes
-in between are one request to a Scratch, which a stream's window analysis shares.
+in between are one request to a Scratch, which a stream's window analysis shares,
+so a warm call allocates less than one float64 plane of the ROI, as tracemalloc
+traces it. Its peak is hysteresis's: six boolean planes of the ROI live during a
+pass's dilation (weak, the set, the previous set, the dilated copy and the sources
+of its two runs), 463 KB at 240x320.
 
 Every plane of a w-wide ROI has one row pitch, P = w + 2r for blur radius r, and
 each stage is ufunc calls on 1-D contiguous slices of the flat planes: a shift by

@@ -21,11 +21,9 @@ intensity rows (grouping).
 
 A scene keeps three planes sized from the config: a float64 frame, a
 float64 noise plane and the uint8 output (h, w) or (h, w, 3). ``generate``
-renders every frame into them in place and writes the uint8 plane as it is.
-Planes allocated per frame are handed back to the system between frames and
-faulted in afresh at each one: about 1,170 minor faults a 640x480 RGB24
-frame, against none once the kept planes are warm. ``render`` and
-``render_quantized`` use fresh planes, so their callers own what they get.
+renders every frame into them in place and writes the uint8 plane as it is,
+so a warm 640x480 frame allocates less than one uint8 (h, w) plane of
+temporaries in either pixel format, as ``tracemalloc`` traces them.
 
 Output is exactly what the ingest module reads (raw file or PPM/PGM
 sequence plus ``meta.json``) together with ``ground_truth.csv``
@@ -202,7 +200,7 @@ class _Scene:
             incr = walk_rng.normal(0.0, step, size=(n_walk, cfg.frame_count))
             self._walk_paths = np.cumsum(incr, axis=1)
 
-        # generate renders every frame in these; render and render_quantized use fresh ones
+        # generate renders every frame in these
         self.planes = self._fresh_planes()
 
     def _band_texture(
@@ -269,21 +267,11 @@ class _Scene:
         np.clip(x, 0, 255, out=x)
         x += 0.5
         np.floor(x, out=x)
-        gray = out[:, :, 0] if out.ndim == 3 else out
-        np.copyto(gray, x, casting="unsafe")
-        if out.ndim == 3:  # channel by channel: a broadcast copy takes three times as long
-            out[:, :, 1] = gray
-            out[:, :, 2] = gray
+        h, w = x.shape
+        channels = out.reshape(h, w, -1)
+        for c in range(channels.shape[2]):  # from x: a copy between channels buffers its source
+            np.copyto(channels[:, :, c], x, casting="unsafe")
         return out
-
-    def render(self, frame_index: int) -> np.ndarray:
-        """One grayscale frame as float64 (h, w), before quantization, in fresh planes."""
-        frame, noise, _ = self._fresh_planes()
-        return self._render_into(frame_index, frame, noise)
-
-    def render_quantized(self, frame_index: int) -> np.ndarray:
-        """One uint8 frame as the reader gives it, in a fresh plane."""
-        return self._quantize_into(frame_index, *self._fresh_planes())
 
 
 def generate(cfg: SynthConfig, out_path) -> SynthDataset:

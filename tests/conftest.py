@@ -1,13 +1,8 @@
-import os
-import platform
-import subprocess
-import sys
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
 
-import rrvision
 from rrvision.synth import SynthConfig, generate
 from rrvision.window import MotionWindow
 
@@ -33,25 +28,13 @@ def window_from_rows(rows, fs=30.0) -> MotionWindow:
     return MotionWindow(matrix=matrix, fs=fs, end_frame=matrix.shape[1] - 1)
 
 
-# Every block of 128 KiB or more is a fresh mapping, and the heap is never trimmed.
-_PINNED_MALLOC = "glibc.malloc.mmap_threshold=131072:glibc.malloc.trim_threshold=1073741824"
-glibc_only = pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
-                                reason="pins glibc malloc, counts Linux faults")
-
-
-def minor_faults_under_pinned_malloc(probe: str) -> list[int]:
-    """The integers a probe script prints, run in a fresh interpreter under _PINNED_MALLOC.
-
-    Pinning malloc keeps a fault count from depending on how earlier
-    allocations left the heap: a float64 plane allocated per call then faults
-    all its pages at every call, while the heap's smaller blocks, reused from
-    earlier calls, fault none.
-    """
-    env = dict(os.environ, GLIBC_TUNABLES=_PINNED_MALLOC, PYTHONPATH=os.pathsep.join(
-        [str(Path(rrvision.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True)
-    return [int(v) for v in proc.stdout.split()]
+def traced_peak(call):
+    """call() and the peak bytes tracemalloc traced while it ran, which counts numpy's buffers."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

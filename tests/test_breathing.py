@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,7 @@ from rrvision.config import BreathingConfig, ScheduleConfig
 from rrvision.edges import canny
 from rrvision.window import MotionBuffer, Scratch
 
-from conftest import glibc_only, minor_faults_under_pinned_malloc, window_from_rows
+from conftest import traced_peak, window_from_rows
 
 
 CFG = BreathingConfig()
@@ -256,45 +254,24 @@ class TestSelectAndGroup:
             assert not np.shares_memory(s.inst_rr, planes)
             assert not np.shares_memory(s.peak_indices, planes)
 
-    @glibc_only
-    def test_warm_analysis_faults_no_fresh_pages(self):
-        """Minor page faults of warm analyses of 100x400 and 100x600 stream windows.
+    @pytest.mark.parametrize("window_s", [20.0, 30.0])
+    def test_warm_analysis_traces_under_a_plane(self, window_s):
+        """Bytes traced by warm analyses of 100x400 and 100x600 stream windows at 20/s.
 
-        The probe runs in a fresh interpreter with malloc pinned, so a
-        (rows x n) float64 temporary allocated per window would fault its
-        80-120 pages at every call.
+        One (rows x n) float64 plane allocated per window would reach the bound.
         """
-        faults = minor_faults_under_pinned_malloc(_ANALYSIS_FAULT_PROBE)
-        assert len(faults) == 6
-        assert max(faults) < 64, faults
-
-
-# per window length, three warm analyses of a buffer's windows, each one's minor faults on a line
-_ANALYSIS_FAULT_PROBE = """
-import resource
-import numpy as np
-from rrvision.breathing import analyze_window
-from rrvision.config import BreathingConfig, ScheduleConfig
-from rrvision.window import MotionBuffer, Scratch
-rng = np.random.default_rng(0)
-cfg = BreathingConfig()
-for window_s in (20.0, 30.0):  # 400 and 600 columns at 20/s
-    scratch = Scratch()
-    buffer = MotionBuffer(100, 20.0, ScheduleConfig(window_s=window_s, step_s=1.0), scratch)
-    amplitudes = rng.uniform(1.0, 30.0, 100)
-    analysed, i = 0, 0
-    while analysed < 5:
-        t = i / 20.0
-        i += 1
-        window = buffer.push_profile(amplitudes * np.sin(2 * np.pi * 0.25 * t) + rng.normal(0, 1, 100))
-        if window is None:
-            continue
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        analyze_window(window, cfg, scratch)
-        if analysed >= 2:
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        analysed += 1
-"""
+        rng = np.random.default_rng(0)
+        scratch = Scratch()
+        buffer = MotionBuffer(100, 20.0, ScheduleConfig(window_s=window_s, step_s=1.0), scratch)
+        amplitudes = rng.uniform(1.0, 30.0, 100)
+        peaks, i = [], 0
+        while len(peaks) < 5:
+            profile = amplitudes * np.sin(2 * np.pi * 0.25 * i / 20.0) + rng.normal(0, 1, 100)
+            window = buffer.push_profile(profile)
+            i += 1
+            if window is not None:
+                peaks.append(traced_peak(lambda: analyze_window(window, CFG, scratch))[1])
+        assert max(peaks[2:]) < window.matrix.size * 8, peaks
 
 
 class TestGroupLayout:
@@ -514,12 +491,7 @@ class TestProminence:
         wave = np.tile([0.0, 1.0], 450)
         peaks = np.arange(1, 899, 2)
         assert list(peaks) == oracle_local_maxima(wave)
-        tracemalloc.start()
-        try:
-            _prominence(wave, peaks)
-            peak_bytes = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak_bytes = traced_peak(lambda: _prominence(wave, peaks))
         assert peak_bytes < 2_000_000
 
 
@@ -626,12 +598,7 @@ class TestPeakStack:
         row[0] = row[-1] = -100.0  # deep border segments: no bound settles any maximum
         stack = np.tile(row, (6, 1))
         calls = open_maxima(monkeypatch)
-        tracemalloc.start()
-        try:
-            got = detect_peaks(stack, 30.0, CFG)
-            peak_bytes = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak_bytes = traced_peak(lambda: detect_peaks(stack, 30.0, CFG))
         assert calls == [6 * 449]
         assert all(list(p) == oracle_detect_peaks(row, 30.0, CFG) for p in got)
         assert peak_bytes < 2_000_000

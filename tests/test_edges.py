@@ -32,7 +32,7 @@ from rrvision.edges import (
 )
 from rrvision.window import Scratch
 
-from conftest import glibc_only, minor_faults_under_pinned_malloc
+from conftest import traced_peak
 
 # --- canny's stages one by one, over its private cores -----------------------
 
@@ -462,35 +462,19 @@ class TestCannyScratch:
             p[r : r + h, r : r + w] = img
             assert np.array_equal(_reflect_border(p, r), np.pad(img, r, mode="reflect"))
 
-    @glibc_only
-    def test_warm_call_faults_no_fresh_pages(self):
-        """Minor page faults of warm 240x320 calls on one scratch, in a fresh interpreter.
+    @pytest.mark.parametrize("pixels", ["float64", "rgb24"])
+    def test_warm_call_traces_under_a_plane(self, pixels):
+        """Bytes traced by warm 240x320 calls on one scratch, on a plane or an RGB24 crop.
 
-        Its malloc is pinned, so every block of 128 KiB or more is a fresh
-        mapping: a float64 plane allocated per call would fault all its 150
-        pages at every call.
+        The crop is a view into a 480x640 frame, as the VGA stream passes it.
+        One float64 plane of the ROI allocated per call would reach the bound.
         """
-        faults = minor_faults_under_pinned_malloc(_FAULT_PROBE)
-        assert len(faults) == 3
-        assert max(faults) < 64, faults
-
-
-# three warm calls on one scratch, each call's minor page faults on a line
-_FAULT_PROBE = """
-import resource
-import numpy as np
-from rrvision.edges import canny
-from rrvision.window import Scratch
-rng = np.random.default_rng(0)
-img = rng.uniform(0.0, 255.0, (24, 32)).repeat(10, axis=0).repeat(10, axis=1)
-scratch = Scratch()
-for _ in range(2):
-    canny(img, scratch=scratch)
-for _ in range(3):
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    canny(img, scratch=scratch)
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
+        levels = np.random.default_rng(0).uniform(0.0, 255.0, (48, 64, 3))
+        frame = levels.repeat(10, axis=0).repeat(10, axis=1)
+        roi = {"float64": frame[..., 0], "rgb24": frame.astype(np.uint8)}[pixels][120:360, 160:480]
+        scratch = Scratch()
+        peaks = [traced_peak(lambda: canny(roi, scratch=scratch))[1] for _ in range(5)][2:]
+        assert max(peaks) < 240 * 320 * 8, peaks
 
 
 def gray_plane(img):

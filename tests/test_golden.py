@@ -113,7 +113,7 @@ def vga_edge_masks() -> str:
     roi = roi_from_landmarks(scene.geom.landmarks, scene.cfg.meta, RoiGeometryConfig())
     rows = ["frame,sigma,edge_pixels,packbits_sha256"]
     for i in VGA_FRAMES:
-        crop = roi.crop(scene.render_quantized(i))  # uint8 RGB24, as the reader gives it
+        crop = roi.crop(scene._quantize_into(i, *scene._fresh_planes()))  # uint8 RGB24, as read
         for sigma in VGA_SIGMAS:
             mask = canny(crop, CannyConfig(sigma=sigma))
             digest = hashlib.sha256(np.packbits(mask).tobytes()).hexdigest()

@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from rrvision.pipeline import run_recording
 from rrvision.roi import LandmarkSet, load_landmark_track, roi_from_landmarks
 from rrvision.synth import SynthConfig, _Scene, generate, scene_geometry
 
-from conftest import glibc_only, make_recording, minor_faults_under_pinned_malloc
+from conftest import make_recording, traced_peak
 
 
 def small_cfg(**overrides):
@@ -171,7 +172,7 @@ class TestRenderedMotionOracle:
         lo = int(np.floor(g.boundary_y - cfg.amplitude_px - 1))
         hi = int(np.ceil(g.boundary_y + cfg.amplitude_px + 1))
         for i in range(cfg.frame_count):
-            col = scene.render(i)[:, mid]
+            col = scene._render_into(i, *scene._fresh_planes()[:2])[:, mid]
             grad = np.abs(np.diff(col))[lo:hi]
             pos = np.arange(lo, hi) + 0.5
             centroid = (grad * pos).sum() / grad.sum()
@@ -180,46 +181,31 @@ class TestRenderedMotionOracle:
     def test_illumination_drift_shifts_levels_linearly(self):
         cfg = small_cfg(noise_sigma=0.0, illum_drift=10.0, duration_s=1.0, amplitude_px=0.0)
         scene = _Scene(cfg)
-        a = scene.render(0)
-        b = scene.render(15)  # 0.5 s later -> +5 intensity
+        a = scene._render_into(0, *scene._fresh_planes()[:2])
+        b = scene._render_into(15, *scene._fresh_planes()[:2])  # 0.5 s later -> +5 intensity
         assert b - a == pytest.approx(np.full_like(a, 5.0), abs=1e-9)
 
 
 class TestKeptPlanes:
     def test_renders_own_their_planes(self):
         scene = _Scene(small_cfg(pixel_format="RGB24"))
-        a, b = scene.render_quantized(0), scene.render_quantized(1)
-        assert not any(np.shares_memory(r, p) for r in (a, b) for p in scene.planes)
-        assert not np.shares_memory(a, b)
+        planes = [*scene.planes, *scene._fresh_planes(), *scene._fresh_planes()]
+        assert not any(np.shares_memory(p, q) for i, p in enumerate(planes) for q in planes[:i])
 
-    @glibc_only
-    def test_warm_vga_frames_fault_no_fresh_pages(self):
-        """Minor page faults of warm 640x480 RGB24 frames rendered and written as generate does.
+    @pytest.mark.parametrize("pixel_format", ["RGB24", "GRAY8"])
+    def test_warm_vga_frames_trace_under_a_plane(self, pixel_format):
+        """Bytes traced by warm 640x480 frames rendered and written as generate does.
 
-        The probe runs in a fresh interpreter with malloc pinned, so a
-        2.4 MB float64 plane allocated per frame would fault its 600 pages
-        at every frame.
+        One uint8 (h, w) plane allocated per frame would reach the bound; the
+        12 walk rows' fancy-index temporary stays below it.
         """
-        faults = minor_faults_under_pinned_malloc(_RENDER_FAULT_PROBE)
-        assert len(faults) == 3
-        assert max(faults) < 64, faults
-
-
-# three warm frames of a VGA RGB24 scene, each one's minor faults on a line
-_RENDER_FAULT_PROBE = """
-import os
-import resource
-from rrvision.synth import SynthConfig, _Scene
-scene = _Scene(SynthConfig(width=640, height=480, duration_s=1.0, noise_sigma=2.0,
-                           pixel_format="RGB24", walk_row_frac=0.05, walk_amplitude=10.0,
-                           illum_drift=1.0))
-with open(os.devnull, "wb") as fh:
-    for i in range(5):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        fh.write(scene._quantize_into(i, *scene.planes))
-        if i >= 2:
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
+        scene = _Scene(SynthConfig(width=640, height=480, duration_s=1.0, noise_sigma=2.0,
+                                   pixel_format=pixel_format, walk_row_frac=0.05,
+                                   walk_amplitude=10.0, illum_drift=1.0))
+        with open(os.devnull, "wb") as fh:
+            peaks = [traced_peak(lambda: fh.write(scene._quantize_into(i, *scene.planes)))[1]
+                     for i in range(5)][2:]
+        assert max(peaks) < 480 * 640, peaks
 
 
 class TestDegenerateMotionless:
