@@ -19,11 +19,16 @@ noise (selection), linear illumination drift (detrending), an instantaneous
 vertical content jump (ROI re-estimation and stitching), and random-walk
 intensity rows (grouping).
 
-A scene keeps three planes sized from the config: a float64 frame, a
-float64 noise plane and the uint8 output (h, w) or (h, w, 3). ``generate``
-renders every frame into them in place and writes the uint8 plane as it is,
-so a warm 640x480 frame allocates less than one uint8 (h, w) plane of
-temporaries in either pixel format, as ``tracemalloc`` traces them.
+Every pixel of a row outside the chest holds one value, and every chest pixel
+of the row another, so a frame is two (h,) vectors of row values before the
+noise. A frame in flight owns one float64 plane, which takes the noise and
+then the row values, and the uint8 output (h, w) or (h, w, 3). A scene keeps
+two such slots: ``generate`` renders the even frames in one and, on a worker
+thread, the odd frames in the other, and writes each uint8 plane as it is, in
+index order. Each frame draws its noise from its own generator, so its bytes
+depend on its index alone, not on the thread or slot that renders it. A warm
+640x480 frame allocates less than one uint8 (h, w) plane of temporaries in
+either pixel format, as ``tracemalloc`` traces them.
 
 Output is exactly what the ingest module reads (raw file or PPM/PGM
 sequence plus ``meta.json``) together with ``ground_truth.csv``
@@ -33,6 +38,7 @@ sequence plus ``meta.json``) together with ``ground_truth.csv``
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -200,8 +206,8 @@ class _Scene:
             incr = walk_rng.normal(0.0, step, size=(n_walk, cfg.frame_count))
             self._walk_paths = np.cumsum(incr, axis=1)
 
-        # generate renders every frame in these
-        self.planes = self._fresh_planes()
+        # generate renders the even frames in the first slot and the odd ones in the second
+        self.slots = (self._fresh_planes(), self._fresh_planes())
 
     def _band_texture(
         self, rng: np.random.Generator, n: int, base: float, contrast: float
@@ -222,14 +228,14 @@ class _Scene:
     def boundary_at(self, frame_index: int) -> float:
         return self.geom.boundary_y + self.offset(frame_index) + self.displacement(frame_index)
 
-    def _fresh_planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Planes for one frame: float64 frame, float64 noise, uint8 output."""
+    def _fresh_planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """One frame's slot: the float64 plane and the uint8 output."""
         h, w = self.cfg.height, self.cfg.width
         shape = (h, w, 3) if self.cfg.pixel_format == RGB24 else (h, w)
-        return np.empty((h, w)), np.empty((h, w)), np.empty(shape, dtype=np.uint8)
+        return np.empty((h, w)), np.empty(shape, dtype=np.uint8)
 
-    def _render_into(self, frame_index: int, frame: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Frame i as float64 before quantization: in ``frame``, or with noise in ``noise``."""
+    def _render_into(self, frame_index: int, plane: np.ndarray) -> np.ndarray:
+        """Frame i as float64 before quantization, in ``plane``."""
         cfg = self.cfg
         h = cfg.height
         dy = self.offset(frame_index)
@@ -238,32 +244,35 @@ class _Scene:
         b = self.boundary_at(frame_index)
         y = np.arange(h, dtype=np.float64)
         alpha = np.clip(b - (y - 0.5), 0.0, 1.0)  # background coverage per pixel
-        chest_col = alpha * static + (1.0 - alpha) * self._chest_dark
-
-        frame[:, :] = static[:, None]
-        frame[:, self.geom.chest_x0 : self.geom.chest_x1] = chest_col[:, None]
+        # each row's value outside the chest and on it
+        back, chest = static.copy(), alpha * static + (1.0 - alpha) * self._chest_dark
 
         if self._walk_paths is not None:
             rows = np.clip(self.walk_rows + dy, 0, h - 1)
-            frame[rows, :] += self._walk_paths[:, frame_index][:, None]
+            for v in (back, chest):
+                v[rows] += self._walk_paths[:, frame_index]
 
         if cfg.illum_drift:
-            frame += cfg.illum_drift * (frame_index / cfg.fps)
+            for v in (back, chest):
+                v += cfg.illum_drift * (frame_index / cfg.fps)
 
+        x0, x1 = self.geom.chest_x0, self.geom.chest_x1
         if cfg.noise_sigma <= 0:
-            return frame
+            plane[:, :] = back[:, None]
+            plane[:, x0:x1] = chest[:, None]
+            return plane
         # normal(0, s) is 0.0 + s * z from the same draw: only a zero's sign can differ,
-        # and adding the frame (IEEE addition commutes) removes that difference
-        np.random.default_rng([cfg.texture_seed, 2, frame_index]).standard_normal(out=noise)
-        noise *= cfg.noise_sigma
-        noise += frame
-        return noise
+        # and adding the row value (IEEE addition commutes) removes that difference
+        np.random.default_rng([cfg.texture_seed, 2, frame_index]).standard_normal(out=plane)
+        plane *= cfg.noise_sigma
+        plane[:, :x0] += back[:, None]
+        plane[:, x1:] += back[:, None]
+        plane[:, x0:x1] += chest[:, None]
+        return plane
 
-    def _quantize_into(
-        self, frame_index: int, frame: np.ndarray, noise: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
+    def _quantize_into(self, frame_index: int, plane: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Frame i as uint8 in ``out``; RGB24 repeats the plane so channel averaging is exact."""
-        x = self._render_into(frame_index, frame, noise)
+        x = self._render_into(frame_index, plane)
         np.clip(x, 0, 255, out=x)
         x += 0.5
         np.floor(x, out=x)
@@ -272,6 +281,22 @@ class _Scene:
         for c in range(channels.shape[2]):  # from x: a copy between channels buffers its source
             np.copyto(channels[:, :, c], x, casting="unsafe")
         return out
+
+
+def _write_frames(scene: _Scene, write) -> None:
+    """write(i, frame) for every frame in index order, while a worker renders the next one.
+
+    The even frames render in the first slot on this thread, the odd frames in the
+    second on the worker. The pool is shut down before this returns or raises.
+    """
+    n = scene.cfg.frame_count
+    even, odd = scene.slots
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for i in range(0, n, 2):
+            ahead = worker.submit(scene._quantize_into, i + 1, *odd) if i + 1 < n else None
+            write(i, scene._quantize_into(i, *even))
+            if ahead is not None:
+                write(i + 1, ahead.result())
 
 
 def generate(cfg: SynthConfig, out_path) -> SynthDataset:
@@ -289,12 +314,10 @@ def generate(cfg: SynthConfig, out_path) -> SynthDataset:
     if cfg.container == "raw":
         video_path = out_dir / f"video{meta.raw_suffix}"
         with open(video_path, "wb") as fh:
-            for i in range(cfg.frame_count):
-                fh.write(scene._quantize_into(i, *scene.planes))
+            _write_frames(scene, lambda i, frame: fh.write(frame))
     else:
         video_path = out_dir
-        for i in range(cfg.frame_count):
-            write_pnm(out_dir / meta.frame_name(i), scene._quantize_into(i, *scene.planes))
+        _write_frames(scene, lambda i, frame: write_pnm(out_dir / meta.frame_name(i), frame))
 
     gt_path = out_dir / GROUND_TRUTH_NAME
     write_step_hold(gt_path, GROUND_TRUTH_HEADER, cfg.rr_segments)

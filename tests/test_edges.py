@@ -462,19 +462,30 @@ class TestCannyScratch:
             p[r : r + h, r : r + w] = img
             assert np.array_equal(_reflect_border(p, r), np.pad(img, r, mode="reflect"))
 
-    @pytest.mark.parametrize("pixels", ["float64", "rgb24"])
-    def test_warm_call_traces_under_a_plane(self, pixels):
+    @staticmethod
+    def warm_call_peaks(pixels):
         """Bytes traced by warm 240x320 calls on one scratch, on a plane or an RGB24 crop.
 
         The crop is a view into a 480x640 frame, as the VGA stream passes it.
-        One float64 plane of the ROI allocated per call would reach the bound.
         """
         levels = np.random.default_rng(0).uniform(0.0, 255.0, (48, 64, 3))
         frame = levels.repeat(10, axis=0).repeat(10, axis=1)
         roi = {"float64": frame[..., 0], "rgb24": frame.astype(np.uint8)}[pixels][120:360, 160:480]
         scratch = Scratch()
-        peaks = [traced_peak(lambda: canny(roi, scratch=scratch))[1] for _ in range(5)][2:]
+        return [traced_peak(lambda: canny(roi, scratch=scratch))[1] for _ in range(5)][2:]
+
+    @pytest.mark.parametrize("pixels", ["float64", "rgb24"])
+    def test_warm_call_traces_under_a_plane(self, pixels):
+        """One float64 plane of the ROI allocated per call would reach the bound."""
+        peaks = self.warm_call_peaks(pixels)
         assert max(peaks) < 240 * 320 * 8, peaks
+
+    @pytest.mark.parametrize("pixels", ["float64", "rgb24"])
+    def test_warm_call_traces_under_five_boolean_planes(self, pixels):
+        """Hysteresis holds four boolean planes of the ROI: weak, the set, the grown set and
+        dilation's source. A fifth, such as a second copy in dilate, would reach the bound."""
+        peaks = self.warm_call_peaks(pixels)
+        assert max(peaks) < 5 * 240 * 320, peaks
 
 
 def gray_plane(img):

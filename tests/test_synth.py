@@ -1,11 +1,14 @@
 import csv
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from rrvision.config import RunConfig
 from rrvision.evaluate import load_ground_truth
+from rrvision import synth
 from rrvision.ingest import GROUND_TRUTH_HEADER, open_source, write_step_hold
 from rrvision.pipeline import run_recording
 from rrvision.roi import LandmarkSet, load_landmark_track, roi_from_landmarks
@@ -172,7 +175,7 @@ class TestRenderedMotionOracle:
         lo = int(np.floor(g.boundary_y - cfg.amplitude_px - 1))
         hi = int(np.ceil(g.boundary_y + cfg.amplitude_px + 1))
         for i in range(cfg.frame_count):
-            col = scene._render_into(i, *scene._fresh_planes()[:2])[:, mid]
+            col = scene._render_into(i, scene._fresh_planes()[0])[:, mid]
             grad = np.abs(np.diff(col))[lo:hi]
             pos = np.arange(lo, hi) + 0.5
             centroid = (grad * pos).sum() / grad.sum()
@@ -181,15 +184,15 @@ class TestRenderedMotionOracle:
     def test_illumination_drift_shifts_levels_linearly(self):
         cfg = small_cfg(noise_sigma=0.0, illum_drift=10.0, duration_s=1.0, amplitude_px=0.0)
         scene = _Scene(cfg)
-        a = scene._render_into(0, *scene._fresh_planes()[:2])
-        b = scene._render_into(15, *scene._fresh_planes()[:2])  # 0.5 s later -> +5 intensity
+        a = scene._render_into(0, scene._fresh_planes()[0])
+        b = scene._render_into(15, scene._fresh_planes()[0])  # 0.5 s later -> +5 intensity
         assert b - a == pytest.approx(np.full_like(a, 5.0), abs=1e-9)
 
 
 class TestKeptPlanes:
     def test_renders_own_their_planes(self):
         scene = _Scene(small_cfg(pixel_format="RGB24"))
-        planes = [*scene.planes, *scene._fresh_planes(), *scene._fresh_planes()]
+        planes = [*scene.slots[0], *scene.slots[1], *scene._fresh_planes(), *scene._fresh_planes()]
         assert not any(np.shares_memory(p, q) for i, p in enumerate(planes) for q in planes[:i])
 
     @pytest.mark.parametrize("pixel_format", ["RGB24", "GRAY8"])
@@ -197,16 +200,64 @@ class TestKeptPlanes:
         """Bytes traced by warm 640x480 frames rendered and written as generate does.
 
         One uint8 (h, w) plane allocated per frame would reach the bound; the
-        12 walk rows' fancy-index temporary stays below it.
+        buffers numpy's iterator takes to add the row values stay below it.
         """
         scene = _Scene(SynthConfig(width=640, height=480, duration_s=1.0, noise_sigma=2.0,
                                    pixel_format=pixel_format, walk_row_frac=0.05,
                                    walk_amplitude=10.0, illum_drift=1.0))
         with open(os.devnull, "wb") as fh:
-            peaks = [traced_peak(lambda: fh.write(scene._quantize_into(i, *scene.planes)))[1]
+            peaks = [traced_peak(lambda: fh.write(scene._quantize_into(i, *scene.slots[i % 2])))[1]
                      for i in range(5)][2:]
         assert max(peaks) < 480 * 640, peaks
 
+
+    @pytest.mark.parametrize("overrides", [
+        dict(pixel_format="RGB24", walk_row_frac=0.2, walk_amplitude=10.0, illum_drift=3.0,
+             roi_jump_at_s=1.0),
+        dict(pixel_format="GRAY8", noise_sigma=0.0),
+    ], ids=["RGB24-walk-drift-jump", "GRAY8-noise0"])
+    def test_frame_bytes_depend_on_the_index_alone(self, overrides):
+        """Frames rendered backwards through alternating slots equal frames rendered forwards."""
+        scene = _Scene(small_cfg(**overrides))
+        n = scene.cfg.frame_count
+        forward = [scene._quantize_into(i, *scene.slots[0]).copy() for i in range(n)]
+        for k, i in enumerate(reversed(range(n))):
+            assert np.array_equal(scene._quantize_into(i, *scene.slots[k % 2]), forward[i]), i
+
+    def test_vga_generate_traces_under_three_float_planes(self, tmp_path):
+        """Bytes traced by a whole 1 s 640x480 RGB24 generate, the worker thread's included.
+
+        Its two slots hold 6.8 MB; a second float64 plane in each would reach the bound.
+        A small recording first imports what a first call imports (numpy.random).
+        """
+        generate(SynthConfig(duration_s=0.1, pixel_format="RGB24"), tmp_path / "warm")
+        cfg = SynthConfig(width=640, height=480, duration_s=1.0, pixel_format="RGB24")
+        _, peak = traced_peak(lambda: generate(cfg, tmp_path / "rec"))
+        assert peak < 3 * 480 * 640 * 8, peak
+
+    def test_tracemalloc_sees_a_worker_threads_numpy_buffers(self):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            _, peak = traced_peak(lambda: pool.submit(np.ones, 10**6).result(timeout=60))
+        assert peak >= 8 * 10**6, peak
+
+    @pytest.mark.parametrize("fail_at", [None, 0, 3])
+    def test_generate_leaves_no_thread_running(self, tmp_path, monkeypatch, fail_at):
+        real_write_pnm = synth.write_pnm
+
+        def write_pnm(path, frame):
+            if int(path.stem.split("_")[-1]) == fail_at:
+                raise OSError("disk full")
+            real_write_pnm(path, frame)
+
+        monkeypatch.setattr(synth, "write_pnm", write_pnm)
+        before = set(threading.enumerate())
+        cfg = small_cfg(duration_s=0.5, container="images")
+        if fail_at is None:
+            generate(cfg, tmp_path / "rec")
+        else:
+            with pytest.raises(OSError, match="disk full"):
+                generate(cfg, tmp_path / "rec")
+        assert set(threading.enumerate()) == before
 
 class TestDegenerateMotionless:
     def test_zero_amplitude_video_yields_no_valid_predictions(self, tmp_path):
