@@ -1,6 +1,6 @@
 """Command-line entry point: run / synth / eval subcommands.
 
-Exit codes: 0 success, 1 unusable input or configuration, 2 partial
+Exit codes: 0 success, 1 unusable input, configuration or usage, 2 partial
 evaluation failure (some ablation cells failed but the run completed).
 """
 
@@ -160,10 +160,6 @@ def _parse_segments(text: str) -> list[tuple[float, float]]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _build_config(cfgmod.RunConfig, args)
-    base = cfgmod.RunConfig()
-    if (cfg.profile_mode, cfg.breathing.top_frac) != (base.profile_mode, base.breathing.top_frac):
-        raise ValueError("eval sets profile_mode and top_frac per cell; "
-                         "use --single-cell MODE,FRACTION")
     recordings = evaluate.load_dataset_manifest(args.manifest)
     if args.single_cell:
         mode, _, frac = args.single_cell.partition(",")
@@ -185,8 +181,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 2 if any(c.error is not None for c in cells) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is unusable input: main exits 1 on it
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rrvision",
         description="Respiratory rate from video via chest pixel-intensity changes",
     )
@@ -219,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .breathing import RRPrediction, predict
-from .config import RunConfig, apply_overrides
+from .config import BreathingConfig, RunConfig, apply_overrides
 from .ingest import GROUND_TRUTH_HEADER, read_step_hold, step_hold
 from .pipeline import run_recording
 
@@ -164,7 +164,12 @@ def run_cell(
     largest of their fractions; a failed pass fails each of its cells. A
     recording's ground truth is read before its pass, so a bad file fails fast.
     """
-    # a bad cell is a configuration error, raised before any pass
+    # a bad cell is a configuration error, raised before any pass; each cell sets
+    # profile_mode and top_frac, so a base that set either would be ignored
+    if (base_cfg.profile_mode, base_cfg.breathing.top_frac) != (RunConfig.profile_mode,
+                                                                BreathingConfig.top_frac):
+        raise ValueError("eval sets profile_mode and top_frac per cell; "
+                         "use --single-cell MODE,FRACTION")
     cfgs = [_cell_config(base_cfg, mode, f) for f in fractions]
     n_groups = [cfg.breathing.groups(cfg.canonical_len)[1] for cfg in cfgs]
     passes: dict[float, list[int]] = {}

@@ -20,15 +20,16 @@ vertical content jump (ROI re-estimation and stitching), and random-walk
 intensity rows (grouping).
 
 Every pixel of a row outside the chest holds one value, and every chest pixel
-of the row another, so a frame is two (h,) vectors of row values before the
-noise. A frame in flight owns one float64 plane, which takes the noise and
-then the row values, and the uint8 output (h, w) or (h, w, 3). A scene keeps
-two such slots: ``generate`` renders the even frames in one and, on a worker
-thread, the odd frames in the other, and writes each uint8 plane as it is, in
-index order. Each frame draws its noise from its own generator, so its bytes
-depend on its index alone, not on the thread or slot that renders it. A warm
-640x480 frame allocates less than one uint8 (h, w) plane of temporaries in
-either pixel format, as ``tracemalloc`` traces them.
+of the row another, so a frame is two (h,) vectors of row values. Every frame
+takes one path: it draws its noise into a float64 plane, scales it by
+``noise_sigma`` (0*z + f rounds to f, so 0 adds no noise) and adds the row
+values. The scene is read-only once built: ``_write_frames`` makes two slots of
+a float64 plane and the uint8 output, renders the even frames in one and, on a
+worker thread, the odd frames in the other, and writes each uint8 plane as it
+is, in index order. Each frame draws its noise from its own generator, so its
+bytes depend on its index alone, not on the thread or slot that renders it. A
+warm 640x480 frame allocates less than one uint8 (h, w) plane of temporaries
+in either pixel format, as ``tracemalloc`` traces them.
 
 Output is exactly what the ingest module reads (raw file or PPM/PGM
 sequence plus ``meta.json``) together with ``ground_truth.csv``
@@ -206,9 +207,6 @@ class _Scene:
             incr = walk_rng.normal(0.0, step, size=(n_walk, cfg.frame_count))
             self._walk_paths = np.cumsum(incr, axis=1)
 
-        # generate renders the even frames in the first slot and the odd ones in the second
-        self.slots = (self._fresh_planes(), self._fresh_planes())
-
     def _band_texture(
         self, rng: np.random.Generator, n: int, base: float, contrast: float
     ) -> np.ndarray:
@@ -230,9 +228,8 @@ class _Scene:
 
     def _fresh_planes(self) -> tuple[np.ndarray, np.ndarray]:
         """One frame's slot: the float64 plane and the uint8 output."""
-        h, w = self.cfg.height, self.cfg.width
-        shape = (h, w, 3) if self.cfg.pixel_format == RGB24 else (h, w)
-        return np.empty((h, w)), np.empty(shape, dtype=np.uint8)
+        shape = self.cfg.meta.frame_shape
+        return np.empty(shape[:2]), np.empty(shape, dtype=np.uint8)
 
     def _render_into(self, frame_index: int, plane: np.ndarray) -> np.ndarray:
         """Frame i as float64 before quantization, in ``plane``."""
@@ -257,10 +254,6 @@ class _Scene:
                 v += cfg.illum_drift * (frame_index / cfg.fps)
 
         x0, x1 = self.geom.chest_x0, self.geom.chest_x1
-        if cfg.noise_sigma <= 0:
-            plane[:, :] = back[:, None]
-            plane[:, x0:x1] = chest[:, None]
-            return plane
         # normal(0, s) is 0.0 + s * z from the same draw: only a zero's sign can differ,
         # and adding the row value (IEEE addition commutes) removes that difference
         np.random.default_rng([cfg.texture_seed, 2, frame_index]).standard_normal(out=plane)
@@ -286,11 +279,11 @@ class _Scene:
 def _write_frames(scene: _Scene, write) -> None:
     """write(i, frame) for every frame in index order, while a worker renders the next one.
 
-    The even frames render in the first slot on this thread, the odd frames in the
-    second on the worker. The pool is shut down before this returns or raises.
+    The even frames render in a slot of their own on this thread, the odd frames in
+    another on the worker. The pool is shut down before this returns or raises.
     """
     n = scene.cfg.frame_count
-    even, odd = scene.slots
+    even, odd = scene._fresh_planes(), scene._fresh_planes()
     with ThreadPoolExecutor(max_workers=1) as worker:
         for i in range(0, n, 2):
             ahead = worker.submit(scene._quantize_into, i + 1, *odd) if i + 1 < n else None

@@ -73,6 +73,12 @@ class TestRun:
         assert code == 1
         assert "error" in err
 
+    def test_unsupported_source_exits_1(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", tmp_path / "clip.mp4")
+        assert code == 1
+        assert out == ""
+        assert "error: unsupported source " in err
+
     def test_reest_period_below_one_frame_exits_1(self, capsys, tmp_path):
         ds = make_recording(tmp_path / "rec", duration_s=1.0)
         code, _, err = run_cli(capsys, "run", ds.video_path, "--reest-s", "0.01")
@@ -96,6 +102,13 @@ class TestRun:
         (["--step-s", "-1", "--dump-config"], "step_s must be positive"),
         (["--k-w", "0", "--dump-config"], "k_w and k_h must be positive"),
         (["--k-h", "-1"], "k_w and k_h must be positive"),
+        (["--reest-s", "0"], "reest_s must be positive"),
+        (["--low", "100", "--high", "50"], "canny low threshold must be below high"),
+        (["--dilation-radius", "-1"], "dilation_radius must be >= 0"),
+        (["--top-frac", "0.01"], "need 0 < group_frac <= top_frac <= 1"),
+        (["--min-peaks", "1"], "min_peaks must be >= 2"),
+        (["--cycles-per-peak", "0"], "cycles_per_peak must be positive"),
+        (["--canonical-len", "1"], "canonical_len must be >= 2"),
     ])
     def test_bad_breathing_config_exits_1_before_any_read(self, capsys, tmp_path, monkeypatch,
                                                           cadence_recording, flags, message):
@@ -442,6 +455,26 @@ class TestEvalCommand:
         assert out == ""
         assert "error: config: unknown config key fixed_roi" in err
 
+    def test_out_file_holds_the_stdout_table(self, capsys, tmp_path, manifest):
+        table = tmp_path / "table.csv"
+        code, out, _ = run_cli(capsys, "eval", manifest, "--single-cell", "edges,0.30",
+                               "--out", table)
+        assert code == 0
+        assert table.read_text(encoding="utf-8") == out
+
+    def test_cell_without_valid_predictions_says_so(self, capsys, tmp_path):
+        make_recording(tmp_path / "rec", duration_s=25.0, amplitude_px=0.0, noise_sigma=0.0)
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{
+            "video_path": "rec/video.gray8",
+            "ground_truth_path": "rec/ground_truth.csv",
+            "landmarks_path": "rec/landmarks.csv",
+        }]))
+        code, out, err = run_cli(capsys, "eval", manifest, "--single-cell", "edges,0.30")
+        assert code == 0
+        assert out.splitlines()[1] == "edges,0.30,,,0,6,,ok"
+        assert "# edges/0.30: no valid predictions (6 invalid)\n" in err
+
     def test_summary_follows_group_fraction_and_sr_bound(self, capsys, manifest):
         code, _, err = run_cli(capsys, "eval", manifest, "--group-frac", "0.1",
                                "--single-cell", "edges,0.30")
@@ -474,6 +507,19 @@ class TestEvalCommand:
         code, _, err = run_cli(capsys, "eval", manifest)
         assert code == 1
         assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "v.gray8", "--window-s", "abc"],
+    ["eval", "m.json", "--profile-mode", "bogus"],
+    ["run", "v.gray8", "--no-such-flag"],
+    [],
+], ids=["bad_value", "bad_choice", "unknown_flag", "no_subcommand"])
+def test_usage_error_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: rrvision") and err.count("\n") == 1
 
 
 def test_console_entry_point_help():

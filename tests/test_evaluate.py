@@ -336,3 +336,21 @@ class TestManifestAndAblation:
         cells = ablation(specs, RunConfig(), modes=("edges",), fractions=(0.05, 0.30))
         assert passes == []
         assert all("missing_0.csv" in c.error for c in cells)
+
+    @pytest.mark.parametrize("base", [{"profile_mode": "full_roi"},
+                                      {"breathing": {"top_frac": 0.2}}],
+                             ids=["profile_mode", "top_frac"])
+    @pytest.mark.parametrize("run", [
+        lambda specs, cfg: ablation(specs, cfg),
+        lambda specs, cfg: run_cell(specs, cfg, "edges", [0.30]),
+    ], ids=["ablation", "run_cell"])
+    def test_per_cell_setting_in_the_base_raises_before_any_pass(self, tmp_path, monkeypatch,
+                                                                 base, run):
+        def no_read(*args):
+            raise AssertionError("a recording was read")
+
+        monkeypatch.setattr(evaluate, "load_ground_truth", no_read)
+        monkeypatch.setattr(evaluate, "run_recording", no_read)
+        specs = [RecordingSpec(tmp_path / "v.gray8", tmp_path / "gt.csv", tmp_path / "lm.csv")]
+        with pytest.raises(ValueError, match="^eval sets profile_mode and top_frac per cell; "):
+            run(specs, RunConfig.from_dict(base))

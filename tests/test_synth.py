@@ -58,6 +58,10 @@ class TestConfigValidation:
         ({"walk_row_frac": 1.5}, r"walk_row_frac must be in \[0, 1\]"),
         ({"walk_amplitude": -1.0}, "walk_amplitude must be >= 0"),
         ({"texture_seed": -1}, "texture_seed must be >= 0"),
+        ({"duration_s": 0.0}, "duration_s must be positive"),
+        ({"rr_segments": []}, "need at least one rr segment"),
+        ({"container": "zip"}, "unknown container 'zip'"),
+        ({"chest_width_frac": 0.0}, r"chest_width_frac must be in \(0, 1\]"),
     ])
     def test_bad_scene_values_named_before_disk(self, tmp_path, bad, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -192,7 +196,7 @@ class TestRenderedMotionOracle:
 class TestKeptPlanes:
     def test_renders_own_their_planes(self):
         scene = _Scene(small_cfg(pixel_format="RGB24"))
-        planes = [*scene.slots[0], *scene.slots[1], *scene._fresh_planes(), *scene._fresh_planes()]
+        planes = [p for _ in range(3) for p in scene._fresh_planes()]
         assert not any(np.shares_memory(p, q) for i, p in enumerate(planes) for q in planes[:i])
 
     @pytest.mark.parametrize("pixel_format", ["RGB24", "GRAY8"])
@@ -205,8 +209,9 @@ class TestKeptPlanes:
         scene = _Scene(SynthConfig(width=640, height=480, duration_s=1.0, noise_sigma=2.0,
                                    pixel_format=pixel_format, walk_row_frac=0.05,
                                    walk_amplitude=10.0, illum_drift=1.0))
+        slots = scene._fresh_planes(), scene._fresh_planes()
         with open(os.devnull, "wb") as fh:
-            peaks = [traced_peak(lambda: fh.write(scene._quantize_into(i, *scene.slots[i % 2])))[1]
+            peaks = [traced_peak(lambda: fh.write(scene._quantize_into(i, *slots[i % 2])))[1]
                      for i in range(5)][2:]
         assert max(peaks) < 480 * 640, peaks
 
@@ -220,9 +225,10 @@ class TestKeptPlanes:
         """Frames rendered backwards through alternating slots equal frames rendered forwards."""
         scene = _Scene(small_cfg(**overrides))
         n = scene.cfg.frame_count
-        forward = [scene._quantize_into(i, *scene.slots[0]).copy() for i in range(n)]
+        slots = scene._fresh_planes(), scene._fresh_planes()
+        forward = [scene._quantize_into(i, *slots[0]).copy() for i in range(n)]
         for k, i in enumerate(reversed(range(n))):
-            assert np.array_equal(scene._quantize_into(i, *scene.slots[k % 2]), forward[i]), i
+            assert np.array_equal(scene._quantize_into(i, *slots[k % 2]), forward[i]), i
 
     def test_vga_generate_traces_under_three_float_planes(self, tmp_path):
         """Bytes traced by a whole 1 s 640x480 RGB24 generate, the worker thread's included.

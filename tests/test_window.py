@@ -53,6 +53,10 @@ class TestSchedule:
         with pytest.raises(ValueError, match="re-estimation period too short"):
             MotionBuffer(2, 30.0, ScheduleConfig(reest_s=0.01))
 
+    def test_step_below_one_frame_rejected(self):
+        with pytest.raises(ValueError, match="^window/step too small for this frame rate$"):
+            MotionBuffer(2, 30.0, ScheduleConfig(step_s=0.01))
+
 
 class TestCadence:
     def test_first_event_at_warmup_then_every_step(self):
