@@ -21,10 +21,12 @@ thinned tallest first in one loop over a mask of blocked samples. The
 prediction keeps every group's RR series, so a configuration with fewer
 groups of the same size can be decided from the first of them.
 
-The selection writes its (rows x N) working arrays into two float64 planes of
-the window's shape, requested from a Scratch: a stream passes its own, which
-Canny shares between windows, so a warm window allocates less than one such plane,
-as tracemalloc traces it."""
+Each stage takes the one form the analysis passes it: detect_peaks the whole
+stack, returning one int64 array of peak indices per row, and detrend the
+window's matrix with the two planes it writes into. The selection requests
+those ANALYSIS_PLANES float64 planes of the window's shape from a Scratch: a
+stream passes its own, which Canny shares between windows, so a warm window
+allocates less than one such plane, as tracemalloc traces it."""
 
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .config import BreathingConfig, samples
-from .window import MotionWindow, Scratch
+from .window import ANALYSIS_PLANES, MotionWindow, Scratch
 
 # rows whose detrended std falls below this are considered flat (intensity units)
 FLAT_STD = 1e-9
@@ -63,21 +65,20 @@ class RRPrediction:
         return self.rr_bpm is not None
 
 
-def detrend(signal: np.ndarray, planes: Optional[np.ndarray] = None) -> np.ndarray:
+def detrend(signal: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """Subtract the least-squares line along the last axis; zero mean and zero trend remain.
 
-    With planes, two float64 planes of the signal's shape (a (2, ...) array),
-    the centred copy is written into the first and the result into the second,
-    which is returned; without, both are fresh arrays. The bits are the same.
+    planes holds two float64 planes of the signal's shape (a (2, ...) array): the
+    centred copy is written into the first and the result into the second, which is
+    returned.
     """
-    y = np.asarray(signal, dtype=np.float64)
-    n = y.shape[-1]
+    n = signal.shape[-1]
     if n < 2:
         raise ValueError("detrend needs at least 2 samples")
-    y_c, out = (None, None) if planes is None else planes
+    y_c, out = planes
     t_c = np.arange(n, dtype=np.float64) - (n - 1) / 2  # (n - 1) / 2 is the exact mean
-    y_c = np.subtract(y, y.mean(axis=-1, keepdims=True), out=y_c)
-    out = np.multiply(y_c, t_c, out=out)  # y_c * t_c, then the line, then the result
+    np.subtract(signal, signal.mean(axis=-1, keepdims=True), out=y_c)
+    np.multiply(y_c, t_c, out=out)  # y_c * t_c, then the line, then the result
     slope = out.sum(axis=-1) / (t_c * t_c).sum()
     return np.subtract(y_c, np.multiply(np.expand_dims(slope, -1), t_c, out=out), out=out)
 
@@ -114,7 +115,7 @@ def select_and_group(window: MotionWindow, cfg: BreathingConfig,
     """
     n_rows, n_cols = window.matrix.shape
     group_size, n_groups = cfg.groups(n_rows)
-    planes = (scratch or Scratch()).request(2, n_rows, n_cols)
+    planes = (scratch or Scratch()).request(ANALYSIS_PLANES, n_rows, n_cols)
     detrended = detrend(window.matrix, planes)
     stds = _row_std(detrended, planes[0])
     if np.all(stds <= FLAT_STD):
@@ -219,23 +220,14 @@ def _item_prominence(heights: np.ndarray, valleys: np.ndarray, item: np.ndarray)
     return h - np.minimum(sides.max(axis=1), h)
 
 
-def _prominence(wave: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    """Prominence of each local maximum of one wave, the one-row case of _item_prominence.
-
-    ``peaks`` must hold every local maximum of ``wave`` in ascending order.
-    """
-    item, heights, valleys = _items(wave, [0], peaks)
-    return _item_prominence(heights, valleys, item)
-
-
-def detect_peaks(waves: np.ndarray, fs: float, cfg: BreathingConfig):
-    """Peak indices of a wave, or a list of them for each row of a (G, N) stack of waves.
+def detect_peaks(waves: np.ndarray, fs: float, cfg: BreathingConfig) -> list[np.ndarray]:
+    """Peak indices, ascending int64, for each row of a (G, N) stack of waves.
 
     A local maximum satisfies w[i] > w[i-1] and w[i] >= w[i+1] (the leftmost
     sample of a plateau). Peaks need prominence of at least thr =
     prominence_factor * the std of their row, and peaks closer than
     fs*60/rr_max samples are thinned greedily by descending height, keeping
-    the taller one. A 1-D wave is the one-row case of the stack.
+    the taller one.
 
     Two bounds from the valleys of _items settle most maxima exactly, so
     _item_prominence runs once, for the rest. Let h be a maximum's height and
@@ -251,17 +243,14 @@ def detect_peaks(waves: np.ndarray, fs: float, cfg: BreathingConfig):
     rounded subtraction is monotone, so both tests agree bit for bit with
     prominence >= thr.
     """
-    w = np.asarray(waves, dtype=np.float64)
-    stack = np.atleast_2d(w)
-    n_rows, n = stack.shape
-    if n < 3:
-        peaks = [np.empty(0, dtype=np.int64) for _ in range(n_rows)]
-        return peaks if w.ndim == 2 else peaks[0]
-    row, col = np.nonzero((stack[:, 1:-1] > stack[:, :-2]) & (stack[:, 1:-1] >= stack[:, 2:]))
+    n_rows, n = waves.shape
+    if n == 0:  # nothing to cut or reduce; rows of 1 or 2 samples go on and find no maximum
+        return [np.empty(0, dtype=np.int64) for _ in range(n_rows)]
+    row, col = np.nonzero((waves[:, 1:-1] > waves[:, :-2]) & (waves[:, 1:-1] >= waves[:, 2:]))
     col += 1
     # every prominence is >= 0, so a row whose std is 0 keeps every maximum
-    thr = (cfg.prominence_factor * _row_std(stack, None))[row]
-    item, heights, valleys = _items(stack.ravel(), np.arange(0, n_rows * n, n), row * n + col)
+    thr = (cfg.prominence_factor * _row_std(waves, None))[row]
+    item, heights, valleys = _items(waves.ravel(), np.arange(0, n_rows * n, n), row * n + col)
     h, v_left, v_right = heights[item], valleys[item - 1], valleys[item]
     keep = h - np.maximum(v_left, v_right) >= thr
     v_higher = np.maximum(np.where(heights[item - 1] > h, v_left, -np.inf),
@@ -285,8 +274,7 @@ def detect_peaks(waves: np.ndarray, fs: float, cfg: BreathingConfig):
             blocked[i - reach : i + reach + 1] = True
     ends = np.searchsorted(row[kept], np.arange(n_rows + 1)).tolist()
     col = col[kept]
-    peaks = [col[a:b] for a, b in zip(ends[:-1], ends[1:])]
-    return peaks if w.ndim == 2 else peaks[0]
+    return [col[a:b] for a, b in zip(ends[:-1], ends[1:])]
 
 
 def instantaneous_rr(peak_indices: np.ndarray, fs: float, cfg: BreathingConfig) -> RRSeries:

@@ -84,7 +84,9 @@ class SynthConfig:
     def validate(self) -> None:
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        self.meta  # VideoMeta checks the frame size, the fps and the pixel format
+        # VideoMeta checks the frame size, the fps and the pixel format
+        if self.meta.frame_count == 0:
+            raise ValueError(f"duration_s of {self.duration_s} s at {self.fps} fps gives no frame")
         if not self.rr_segments:
             raise ValueError("need at least one rr segment")
         starts = [s for s, _ in self.rr_segments]

@@ -22,6 +22,10 @@ import numpy as np
 from .config import ScheduleConfig, samples
 
 
+# float64 planes of a window's (L, N) shape that the window analysis requests
+ANALYSIS_PLANES = 2
+
+
 class Scratch:
     """Grow-only float64 working memory, lent to one caller at a time."""
 
@@ -68,8 +72,8 @@ class MotionBuffer:
             raise ValueError("re-estimation period too short for this frame rate")
         try:
             self._ring = np.zeros((n_rows, self.n_cols), dtype=np.float64)
-            if scratch is not None:  # sized for the analysis of the windows: two (L, N) arrays
-                scratch.request(2, n_rows, self.n_cols)
+            if scratch is not None:  # sized for the analysis of the windows
+                scratch.request(ANALYSIS_PLANES, n_rows, self.n_cols)
         except (ValueError, MemoryError):  # numpy's messages name no setting
             raise ValueError(f"a window of canonical_len {n_rows} rows by window_s "
                              f"{schedule.window_s} s at {fps}/s is too large to allocate") from None

@@ -302,6 +302,14 @@ class TestSynthCommand:
         assert "error: noise_sigma must be >= 0" in err
         assert not (tmp_path / "rec").exists()
 
+    def test_duration_of_no_frame_exits_1_before_disk(self, capsys, tmp_path):
+        # 0.3 frames at 30 fps: a recording of no frame, which `run` would refuse
+        code, out, err = run_cli(capsys, "synth", tmp_path / "rec", "--duration-s", "0.01")
+        assert code == 1
+        assert out == ""
+        assert "error: duration_s of 0.01 s at 30.0 fps gives no frame" in err
+        assert not (tmp_path / "rec").exists()
+
     @pytest.mark.parametrize("segments", ["15", "0:15:3", "a:15", "0:15,"])
     def test_malformed_rr_segments_exit_1(self, capsys, tmp_path, segments):
         code, out, err = run_cli(capsys, "synth", tmp_path / "rec", "--rr-segments", segments)

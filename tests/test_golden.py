@@ -13,7 +13,10 @@ between the defaults (0.15). The tables are the only output that shows
 
 The synthetic generator is pinned by the sha256 of every file ``generate``
 writes for six short recordings, one per container and stressor: a changed
-pixel that moves no prediction row still fails.
+pixel that moves no prediction row still fails. ``generate`` renders two
+frames at a time on two threads, so the same digests are also taken in a
+child process pinned to one CPU, where the worker must neither stall nor
+change a byte.
 
 Canny itself is pinned at deployment size: the uint8 landmark ROI (320x240)
 of a seeded 640x480 RGB24 scene, at a few frames and three blur sigmas, as
@@ -27,12 +30,16 @@ To rewrite the files after an intended output change, run
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rrvision
 from rrvision import evaluate
 from rrvision.cli import main
 from rrvision.config import CannyConfig, RoiGeometryConfig, RunConfig
@@ -174,6 +181,25 @@ def test_ablation_table_matches_golden(name, recordings, walk_recording):
 def test_synth_files_match_golden(tmp_path):
     got = synth_digests(tmp_path)
     assert got == (GOLDEN_DIR / "synth_sha256.csv").read_text(encoding="utf-8")
+
+
+# pins itself before numpy starts a thread, so every thread it starts inherits the one CPU
+ONE_CPU_CHILD = """import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from pathlib import Path
+import test_golden
+sys.stdout.write(test_golden.synth_digests(Path(sys.argv[1])))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity to set")
+def test_synth_files_match_golden_on_one_cpu(tmp_path):
+    paths = (Path(rrvision.__file__).parents[1], Path(__file__).parent)  # rrvision, tests
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, str(tmp_path)], env=env,
+                          capture_output=True, encoding="utf-8", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN_DIR / "synth_sha256.csv").read_text(encoding="utf-8")
 
 
 def test_vga_edge_masks_match_golden():

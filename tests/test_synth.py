@@ -62,6 +62,8 @@ class TestConfigValidation:
         ({"rr_segments": []}, "need at least one rr segment"),
         ({"container": "zip"}, "unknown container 'zip'"),
         ({"chest_width_frac": 0.0}, r"chest_width_frac must be in \(0, 1\]"),
+        # 0.3 frames at 30 fps round to none: a recording that `run` would refuse
+        ({"duration_s": 0.01}, r"duration_s of 0\.01 s at 30\.0 fps gives no frame"),
     ])
     def test_bad_scene_values_named_before_disk(self, tmp_path, bad, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
