@@ -279,11 +279,10 @@ def detect_peaks(waves: np.ndarray, fs: float, cfg: BreathingConfig) -> list[np.
 
 def instantaneous_rr(peak_indices: np.ndarray, fs: float, cfg: BreathingConfig) -> RRSeries:
     """BPM value per consecutive peak pair, keeping only the plausible band."""
-    peaks = np.asarray(peak_indices, dtype=np.int64)
-    ibis = np.diff(peaks) / fs  # seconds per breath
+    ibis = np.diff(peak_indices) / fs  # seconds per breath
     rr = 60.0 * cfg.cycles_per_peak / ibis
     rr = rr[(rr >= cfg.rr_min) & (rr <= cfg.rr_max)]
-    return RRSeries(peak_indices=peaks, inst_rr=rr)
+    return RRSeries(peak_indices=peak_indices, inst_rr=rr)
 
 
 def best_group(series_per_group: list[RRSeries], cfg: BreathingConfig) -> Optional[int]:

@@ -5,13 +5,16 @@ absolute error is at most 2.0; the bound is inclusive). The ground-truth
 series is step-hold: the reference for a prediction at time t is the value
 at the greatest ground-truth time <= t.
 
-The ablation runs each recording once per (profile mode, group fraction),
-not once per cell. A cell's fraction sets how many groups of the same size
-it forms, and those are the first groups of any larger fraction's window,
-in the same rank order. So one pass at the largest fraction of a mode
-decides every cell at or above the group fraction, each from the first k
-RR series of every window; a fraction below it forms smaller groups and
-gets a pass of its own.
+The ablation is the paper's fixed table: profile modes full_roi then edges,
+each at signal fractions 0.05 and 0.30. Any other cells come from
+``run_cell``, one call per profile mode.
+
+``run_cell`` runs each recording once per group fraction, not once per cell.
+A cell's fraction sets how many groups of the same size it forms, and those
+are the first groups of any larger fraction's window, in the same rank
+order. So one pass at the largest fraction of a mode decides every cell at
+or above the group fraction, each from the first k RR series of every
+window; a fraction below it forms smaller groups and gets a pass of its own.
 """
 
 from __future__ import annotations
@@ -164,8 +167,10 @@ def run_cell(
     largest of their fractions; a failed pass fails each of its cells. A
     recording's ground truth is read before its pass, so a bad file fails fast.
     """
-    # a bad cell is a configuration error, raised before any pass; each cell sets
-    # profile_mode and top_frac, so a base that set either would be ignored
+    # an empty set or a bad cell is a configuration error, raised before any pass; each
+    # cell sets profile_mode and top_frac, so a base that set either would be ignored
+    if not recordings:
+        raise ValueError("empty dataset manifest")
     if (base_cfg.profile_mode, base_cfg.breathing.top_frac) != (RunConfig.profile_mode,
                                                                 BreathingConfig.top_frac):
         raise ValueError("eval sets profile_mode and top_frac per cell; "
@@ -201,16 +206,10 @@ def run_cell(
     return cells
 
 
-def ablation(
-    recordings: Sequence[RecordingSpec],
-    base_cfg: RunConfig,
-    modes: Sequence[str] = ("full_roi", "edges"),
-    fractions: Sequence[float] = (0.05, 0.30),
-) -> list[AblationCell]:
-    """Full profile-mode x signal-fraction table (4 cells by default), mode by mode."""
-    if not recordings:
-        raise ValueError("empty dataset manifest")
-    return [c for m in modes for c in run_cell(recordings, base_cfg, m, fractions)]
+def ablation(recordings: Sequence[RecordingSpec], base_cfg: RunConfig) -> list[AblationCell]:
+    """The paper's four cells: full_roi then edges, each at fractions 0.05 and 0.30."""
+    return [c for m in ("full_roi", "edges")
+            for c in run_cell(recordings, base_cfg, m, (0.05, 0.30))]
 
 
 def format_table(cells: Sequence[AblationCell]) -> str:

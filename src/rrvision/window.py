@@ -101,13 +101,12 @@ class MotionBuffer:
         if len(values) != self.n_rows:
             raise ValueError("profile length does not match buffer rows")
 
-        raw = np.asarray(values, dtype=np.float64)
         if self._count > 0 and self.epoch_start:
-            # this order of operations fixes the output bits; raw - last rounds differently
+            # this order of operations fixes the output bits; values - last rounds differently
             last = self._ring[:, (self._count - 1) % self.n_cols]
-            self._offset = self._offset + ((raw - self._offset) - last)
+            self._offset = self._offset + ((values - self._offset) - last)
 
-        self._ring[:, self._count % self.n_cols] = raw - self._offset
+        self._ring[:, self._count % self.n_cols] = values - self._offset
         self._count += 1
 
         if self._count >= self.n_cols and (self._count - self.n_cols) % self.step_frames == 0:

@@ -2,8 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every tolerance is pinned here except criterion 5's, which runs the unit
-suites' own oracle checks under their tolerances. Corpora are generated on the
-fly from seeded configs so the whole suite is deterministic.
+suites' own oracle checks under their tolerances. Criteria 1-3 read their
+figures from ``evaluate.run_cell``'s cells, so they check the pooling that
+``rrvision eval`` reports. Corpora are generated on the fly from seeded configs
+so the whole suite is deterministic.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import numpy as np
 
 from rrvision.cli import main as cli_main
 from rrvision.config import RunConfig
-from rrvision.evaluate import load_ground_truth, metrics_from_errors, prediction_errors
+from rrvision.evaluate import RecordingSpec, run_cell
 from rrvision.pipeline import run_recording
 
 # modules, not their Test* classes: a class imported here would be collected here again
@@ -32,18 +34,11 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def pooled_run(recordings, cfg):
-    """Pooled metrics, share of valid predictions and winning groups across recordings."""
-    errors, invalid, total, winners = [], 0, 0, []
-    for ds in recordings:
-        preds = run_recording(ds.video_path, cfg, landmarks_path=ds.landmarks_path)
-        gt = load_ground_truth(ds.ground_truth_path)
-        errs, inv = prediction_errors(preds, gt)
-        errors += errs
-        invalid += inv
-        total += len(preds)
-        winners += [p.group_index for p in preds if p.valid]
-    return metrics_from_errors(errors, invalid), 1 - invalid / total, winners
+def cells(recordings, mode, fractions):
+    """The eval cells of one profile mode over synthetic recordings, by their landmarks."""
+    specs = [RecordingSpec(ds.video_path, ds.ground_truth_path, ds.landmarks_path)
+             for ds in recordings]
+    return run_cell(specs, RunConfig(), mode, fractions)
 
 
 class TestCriterion1SyntheticAccuracy:
@@ -59,7 +54,9 @@ class TestCriterion1SyntheticAccuracy:
             )
             for k, (rr, fps, sigma) in enumerate(combos)
         ]
-        m, valid_share, _ = pooled_run(recordings, RunConfig())  # edges mode, top_frac 0.30
+        [cell] = cells(recordings, "edges", [0.30])  # RunConfig()'s own cell
+        m = cell.metrics
+        valid_share = m.n / (m.n + m.invalid_count)
         elapsed = time.time() - t0
         ok = m.mae <= 1.0 and m.sr2 >= 95.0 and valid_share >= 0.90 and elapsed < 300
         report(
@@ -86,7 +83,7 @@ class TestCriterion2EdgesVsFullRoi:
         textured_share = 1 - quiet_rows / g.roi.h
         assert textured_share >= 0.5
 
-        maes = {mode: pooled_run(recordings, RunConfig(profile_mode=mode))[0].mae
+        maes = {mode: cells(recordings, mode, [0.30])[0].metrics.mae
                 for mode in ("edges", "full_roi")}
         ok = maes["edges"] <= maes["full_roi"]
         report(
@@ -107,12 +104,10 @@ class TestCriterion3GroupingVsTopFive:
             )
             for k, rr in enumerate([12, 15, 20])
         ]
-        cfg6 = RunConfig()  # top 30% in six groups
-        cfg1 = RunConfig()
-        cfg1.breathing.top_frac = 0.05  # single top-5% group
-        m6, _, winners = pooled_run(recordings, cfg6)
-        mae6, mae1 = m6.mae, pooled_run(recordings, cfg1)[0].mae
-        share = np.mean([w >= 2 for w in winners])
+        # top 30% in six groups, and the single top-5% group
+        g6, g1 = cells(recordings, "edges", [0.30, 0.05])
+        mae6, mae1 = g6.metrics.mae, g1.metrics.mae
+        share = g6.best_group_ge2_share
         ok = mae6 <= mae1 and share >= 0.5
         report(
             "criterion-3 grouping vs top-5%",

@@ -155,6 +155,13 @@ def corpus(tmp_path_factory):
     return root, manifest, recs
 
 
+# both library entries to an evaluation share run_cell's refusals
+EACH_ENTRY = pytest.mark.parametrize("run", [
+    lambda specs, cfg: ablation(specs, cfg),
+    lambda specs, cfg: run_cell(specs, cfg, "edges", [0.30]),
+], ids=["ablation", "run_cell"])
+
+
 class TestManifestAndAblation:
     def test_empty_manifest_rejected(self, tmp_path):
         p = write_manifest(tmp_path / "m.json", [])
@@ -309,7 +316,7 @@ class TestManifestAndAblation:
             },
         ]
         manifest = write_manifest(tmp_path / "m.json", entries)
-        cells = ablation(load_dataset_manifest(manifest), RunConfig(), modes=("edges",), fractions=(0.30,))
+        cells = run_cell(load_dataset_manifest(manifest), RunConfig(), "edges", [0.30])
         assert len(cells) == 1
         assert cells[0].error is not None
         assert "failed" in format_table(cells)
@@ -323,7 +330,7 @@ class TestManifestAndAblation:
                 root / recs[0]["video_path"], gt, landmarks_path=root / recs[0]["landmarks_path"]
             )
         ]
-        cells = ablation(specs, RunConfig(), modes=("edges",), fractions=(0.30,))
+        cells = run_cell(specs, RunConfig(), "edges", [0.30])
         assert "malformed ground-truth row" in cells[0].error
 
     def test_ground_truth_read_before_its_pass(self, corpus, tmp_path, monkeypatch):
@@ -333,17 +340,19 @@ class TestManifestAndAblation:
                  for i, r in enumerate(recs[:2])]
         passes = []
         monkeypatch.setattr(evaluate, "run_recording", lambda *args: passes.append(args) or [])
-        cells = ablation(specs, RunConfig(), modes=("edges",), fractions=(0.05, 0.30))
+        cells = run_cell(specs, RunConfig(), "edges", [0.05, 0.30])
         assert passes == []
         assert all("missing_0.csv" in c.error for c in cells)
+
+    @EACH_ENTRY
+    def test_empty_set_raises(self, run):
+        with pytest.raises(ValueError, match="^empty dataset manifest$"):
+            run([], RunConfig())
 
     @pytest.mark.parametrize("base", [{"profile_mode": "full_roi"},
                                       {"breathing": {"top_frac": 0.2}}],
                              ids=["profile_mode", "top_frac"])
-    @pytest.mark.parametrize("run", [
-        lambda specs, cfg: ablation(specs, cfg),
-        lambda specs, cfg: run_cell(specs, cfg, "edges", [0.30]),
-    ], ids=["ablation", "run_cell"])
+    @EACH_ENTRY
     def test_per_cell_setting_in_the_base_raises_before_any_pass(self, tmp_path, monkeypatch,
                                                                  base, run):
         def no_read(*args):

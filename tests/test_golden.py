@@ -6,10 +6,10 @@ x signal fraction x re-estimation period below. The rows it writes must
 equal the committed files under ``tests/golden/`` byte for byte.
 
 The same two recordings plus one with loud random-walk rows form the corpus
-of the ablation tables: ``evaluate.format_table`` over the default four
-cells, and over fractions that fall below the group fraction (0.02) and
-between the defaults (0.15). The tables are the only output that shows
-``best_group_ge2_share``.
+of the ablation tables: ``evaluate.format_table`` over ``ablation``'s four
+cells, and over ``run_cell``'s cells of each profile mode at fractions that
+also fall below the group fraction (0.02) and between the defaults (0.15).
+The tables are the only output that shows ``best_group_ge2_share``.
 
 The synthetic generator is pinned by the sha256 of every file ``generate``
 writes for six short recordings, one per container and stressor: a changed
@@ -63,7 +63,13 @@ REEST_S = ("20", "5")
 DURATION_S = 24.0
 # the ablation corpus adds one recording whose loudest rows are random walks
 WALK_RECORDING = dict(texture_seed=43, walk_row_frac=0.05, walk_amplitude=100.0)
-ABLATIONS = {"default": (0.05, 0.30), "fractions": (0.02, 0.05, 0.15, 0.30)}
+ABLATIONS = {
+    "default": lambda specs: evaluate.ablation(specs, RunConfig()),
+    "fractions": lambda specs: [
+        c for mode in ("full_roi", "edges")
+        for c in evaluate.run_cell(specs, RunConfig(), mode, (0.02, 0.05, 0.15, 0.30))
+    ],
+}
 VGA_SCENE = dict(
     width=640, height=480, fps=30.0, duration_s=4.0, rr_segments=[(0.0, 15.0)],
     noise_sigma=2.0, pixel_format="RGB24", texture_seed=7,
@@ -106,12 +112,12 @@ def render(root: Path) -> dict:
     }
 
 
-def ablation_table(recordings: dict, walk, fractions) -> str:
+def ablation_table(recordings: dict, walk, cells) -> str:
     specs = [
         evaluate.RecordingSpec(ds.video_path, ds.ground_truth_path, ds.landmarks_path)
         for ds in (*recordings.values(), walk)
     ]
-    return evaluate.format_table(evaluate.ablation(specs, RunConfig(), fractions=fractions))
+    return evaluate.format_table(cells(specs))
 
 
 def vga_edge_masks() -> str:
@@ -221,7 +227,7 @@ if __name__ == "__main__":
             (GOLDEN_DIR / f"{name}.csv").write_text(rows, encoding="utf-8")
             print(f"wrote {name}.csv")
         walk = make_recording(Path(tmp) / "walk", duration_s=DURATION_S, **WALK_RECORDING)
-        for name, fractions in ABLATIONS.items():
-            table = ablation_table(recs, walk, fractions)
+        for name, cells in ABLATIONS.items():
+            table = ablation_table(recs, walk, cells)
             (GOLDEN_DIR / f"ablation_{name}.csv").write_text(table, encoding="utf-8")
             print(f"wrote ablation_{name}.csv")
