@@ -23,13 +23,19 @@ Every pixel of a row outside the chest holds one value, and every chest pixel
 of the row another, so a frame is two (h,) vectors of row values. Every frame
 takes one path: it draws its noise into a float64 plane, scales it by
 ``noise_sigma`` (0*z + f rounds to f, so 0 adds no noise) and adds the row
-values. The scene is read-only once built: ``_write_frames`` makes two slots of
-a float64 plane and the uint8 output, renders the even frames in one and, on a
-worker thread, the odd frames in the other, and writes each uint8 plane as it
-is, in index order. Each frame draws its noise from its own generator, so its
-bytes depend on its index alone, not on the thread or slot that renders it. A
-warm 640x480 frame allocates less than one uint8 (h, w) plane of temporaries
-in either pixel format, as ``tracemalloc`` traces them.
+values. Frames render in runs of consecutive frames, as many as fit in one
+640x480 float64 plane: 16 at 160x120, one at 640x480 and above. A run is one
+(c, h, w) float64 plane. Each frame draws its noise into its own (h, w) plane of
+it; every other step is one array call over the whole run: the row values, the
+noise scaling, the three row adds, clip and round, and each channel's copy into
+the uint8 output. The scene is read-only once built: ``_write_frames`` makes two
+slots of a run's planes, renders the even runs in one and, on a worker thread,
+the odd runs in the other, and writes each run's uint8 frames as they are, in
+index order. A recording of one run never starts the worker. Each frame draws
+its noise from its own generator and every other step is elementwise, so its
+bytes depend on its index alone, not on the run, slot or thread that renders
+it. A warm 640x480 frame allocates less than one uint8 (h, w) plane of
+temporaries in either pixel format, as ``tracemalloc`` traces them.
 
 Output is exactly what the ingest module reads (raw file or PPM/PGM
 sequence plus ``meta.json``) together with ``ground_truth.csv``
@@ -59,6 +65,7 @@ _BAND_PX = 5  # background texture band height
 _CHEST_CONTRAST = 100.0  # chest darkness below the background level
 _QUIET_MARGIN_PX = 6  # textureless rows beyond the boundary's travel
 _JUMP_DY_PX = 6  # downward content shift at roi_jump_at_s
+_RUN_VALUES = 640 * 480  # float64 values of one run's plane: 16 frames at 160x120, one at VGA
 
 
 @dataclass
@@ -190,6 +197,7 @@ class _Scene:
         # the content sits _JUMP_DY_PX lower from this frame on; no frame reaches frame_count
         jump_at_s = cfg.duration_s if cfg.roi_jump_at_s is None else cfg.roi_jump_at_s
         self.jump_frame = samples(min(max(0, jump_at_s), cfg.duration_s), cfg.fps, "roi_jump_at_s")
+        self.run_frames = max(1, _RUN_VALUES // (cfg.width * cfg.height))
 
         # random-walk rows live in the static texture inside the ROI
         self.walk_rows: np.ndarray = np.empty(0, dtype=np.int64)
@@ -228,70 +236,79 @@ class _Scene:
     def boundary_at(self, frame_index: int) -> float:
         return self.geom.boundary_y + self.offset(frame_index) + self.displacement(frame_index)
 
-    def _fresh_planes(self) -> tuple[np.ndarray, np.ndarray]:
-        """One frame's slot: the float64 plane and the uint8 output."""
+    def _fresh_planes(self, frames: int) -> tuple[np.ndarray, np.ndarray]:
+        """A slot for a run of frames: the float64 (frames, h, w) plane and the uint8 output."""
         shape = self.cfg.meta.frame_shape
-        return np.empty(shape[:2]), np.empty(shape, dtype=np.uint8)
+        return np.empty((frames, *shape[:2])), np.empty((frames, *shape), dtype=np.uint8)
 
-    def _render_into(self, frame_index: int, plane: np.ndarray) -> np.ndarray:
-        """Frame i as float64 before quantization, in ``plane``."""
+    def _render_into(self, start: int, plane: np.ndarray) -> np.ndarray:
+        """Frames start, start + 1, ... as float64 before quantization, one per ``plane[k]``."""
         cfg = self.cfg
-        h = cfg.height
-        dy = self.offset(frame_index)
-        static = self._static_ext[_TEMPLATE_PAD - dy : _TEMPLATE_PAD - dy + h]
-
-        b = self.boundary_at(frame_index)
-        y = np.arange(h, dtype=np.float64)
-        alpha = np.clip(b - (y - 0.5), 0.0, 1.0)  # background coverage per pixel
-        # each row's value outside the chest and on it
-        back, chest = static.copy(), alpha * static + (1.0 - alpha) * self._chest_dark
+        c, h, _ = plane.shape
+        frames = range(start, start + c)
+        dy = np.array([self.offset(i) for i in frames])
+        # each frame's row values outside the chest (back) and on it (chest), (c, h)
+        back = self._static_ext[(_TEMPLATE_PAD - dy)[:, None] + np.arange(h)]
+        b = np.array([self.boundary_at(i) for i in frames])
+        alpha = np.clip(b[:, None] - (np.arange(h, dtype=np.float64) - 0.5), 0.0, 1.0)
+        chest = alpha * back + (1.0 - alpha) * self._chest_dark  # alpha: background coverage
 
         if self._walk_paths is not None:
-            rows = np.clip(self.walk_rows + dy, 0, h - 1)
+            rows = np.clip(self.walk_rows + dy[:, None], 0, h - 1)
+            walk = self._walk_paths[:, start : start + c].T
             for v in (back, chest):
-                v[rows] += self._walk_paths[:, frame_index]
+                v[np.arange(c)[:, None], rows] += walk
 
         if cfg.illum_drift:
+            lift = cfg.illum_drift * (np.arange(start, start + c) / cfg.fps)
             for v in (back, chest):
-                v += cfg.illum_drift * (frame_index / cfg.fps)
+                v += lift[:, None]
 
         x0, x1 = self.geom.chest_x0, self.geom.chest_x1
         # normal(0, s) is 0.0 + s * z from the same draw: only a zero's sign can differ,
         # and adding the row value (IEEE addition commutes) removes that difference
-        np.random.default_rng([cfg.texture_seed, 2, frame_index]).standard_normal(out=plane)
+        for k, i in enumerate(frames):
+            np.random.default_rng([cfg.texture_seed, 2, i]).standard_normal(out=plane[k])
         plane *= cfg.noise_sigma
-        plane[:, :x0] += back[:, None]
-        plane[:, x1:] += back[:, None]
-        plane[:, x0:x1] += chest[:, None]
+        plane[:, :, :x0] += back[:, :, None]
+        plane[:, :, x1:] += back[:, :, None]
+        plane[:, :, x0:x1] += chest[:, :, None]
         return plane
 
-    def _quantize_into(self, frame_index: int, plane: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Frame i as uint8 in ``out``; RGB24 repeats the plane so channel averaging is exact."""
-        x = self._render_into(frame_index, plane)
+    def _quantize_into(self, start: int, plane: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Frames start, start + 1, ... as uint8 in ``out``.
+
+        RGB24 repeats each frame's plane in every channel, so channel averaging is exact.
+        """
+        x = self._render_into(start, plane)
         np.clip(x, 0, 255, out=x)
         x += 0.5
         np.floor(x, out=x)
-        h, w = x.shape
-        channels = out.reshape(h, w, -1)
-        for c in range(channels.shape[2]):  # from x: a copy between channels buffers its source
-            np.copyto(channels[:, :, c], x, casting="unsafe")
+        channels = out.reshape(*x.shape, -1)
+        for c in range(channels.shape[3]):  # from x: a copy between channels buffers its source
+            np.copyto(channels[..., c], x, casting="unsafe")
         return out
 
 
 def _write_frames(scene: _Scene, write) -> None:
-    """write(i, frame) for every frame in index order, while a worker renders the next one.
+    """write(start, frames) for every run of frames in index order, every other run rendered ahead.
 
-    The even frames render in a slot of their own on this thread, the odd frames in
-    another on the worker. The pool is shut down before this returns or raises.
+    Runs of ``scene.run_frames`` frames render in two slots: the even runs in one on this
+    thread, the odd runs in the other on the worker. The last run may be short. The pool is
+    shut down before this returns or raises.
     """
-    n = scene.cfg.frame_count
-    even, odd = scene._fresh_planes(), scene._fresh_planes()
+    n, run = scene.cfg.frame_count, scene.run_frames
+    mine, theirs = scene._fresh_planes(run), scene._fresh_planes(run)
+
+    def render(start, slot):
+        return scene._quantize_into(start, *(p[: n - start] for p in slot))
+
     with ThreadPoolExecutor(max_workers=1) as worker:
-        for i in range(0, n, 2):
-            ahead = worker.submit(scene._quantize_into, i + 1, *odd) if i + 1 < n else None
-            write(i, scene._quantize_into(i, *even))
+        for start in range(0, n, 2 * run):
+            ahead = worker.submit(render, start + run, theirs) if start + run < n else None
+            write(start, render(start, mine))
             if ahead is not None:
-                write(i + 1, ahead.result())
+                write(start + run, ahead.result())
 
 
 def generate(cfg: SynthConfig, out_path) -> SynthDataset:
@@ -309,10 +326,15 @@ def generate(cfg: SynthConfig, out_path) -> SynthDataset:
     if cfg.container == "raw":
         video_path = out_dir / f"video{meta.raw_suffix}"
         with open(video_path, "wb") as fh:
-            _write_frames(scene, lambda i, frame: fh.write(frame))
+            _write_frames(scene, lambda start, frames: fh.write(frames))
     else:
         video_path = out_dir
-        _write_frames(scene, lambda i, frame: write_pnm(out_dir / meta.frame_name(i), frame))
+
+        def write_run(start, frames):
+            for k, frame in enumerate(frames):
+                write_pnm(out_dir / meta.frame_name(start + k), frame)
+
+        _write_frames(scene, write_run)
 
     gt_path = out_dir / GROUND_TRUTH_NAME
     write_step_hold(gt_path, GROUND_TRUTH_HEADER, cfg.rr_segments)

@@ -13,10 +13,12 @@ The tables are the only output that shows ``best_group_ge2_share``.
 
 The synthetic generator is pinned by the sha256 of every file ``generate``
 writes for six short recordings, one per container and stressor: a changed
-pixel that moves no prediction row still fails. ``generate`` renders two
-frames at a time on two threads, so the same digests are also taken in a
-child process pinned to one CPU, where the worker must neither stall nor
-change a byte.
+pixel that moves no prediction row still fails. ``generate`` renders runs of
+frames on two threads, so the same digests are also taken in a child process
+pinned to one CPU, where the worker must neither stall nor change a byte. Each
+of the six fits in one run, which leaves the worker idle, so the child also
+renders a recording of several runs, and its bytes must equal an in-process
+render's.
 
 Canny itself is pinned at deployment size: the uint8 landmark ROI (320x240)
 of a seeded 640x480 RGB24 scene, at a few frames and three blur sigmas, as
@@ -89,6 +91,11 @@ SYNTH_RECORDINGS = {
     "gray8_pgm": dict(pixel_format="GRAY8", container="images", texture_seed=56,
                       duration_s=0.5, illum_drift=-3.0),
 }
+# six of generate's 16-frame runs, so the one-CPU child starts the worker; the jump
+# (frame 27) falls inside the first run the worker renders
+RUNS_RECORDING = dict(width=160, height=120, fps=30.0, duration_s=3.0, pixel_format="RGB24",
+                      texture_seed=57, walk_row_frac=0.1, walk_amplitude=30.0,
+                      illum_drift=2.0, roi_jump_at_s=0.9)
 VGA_FRAMES = (0, 30, 60)  # a quarter and a half breath apart
 VGA_SIGMAS = (1.0, 1.4, 2.0)
 
@@ -126,7 +133,8 @@ def vga_edge_masks() -> str:
     roi = roi_from_landmarks(scene.geom.landmarks, scene.cfg.meta, RoiGeometryConfig())
     rows = ["frame,sigma,edge_pixels,packbits_sha256"]
     for i in VGA_FRAMES:
-        crop = roi.crop(scene._quantize_into(i, *scene._fresh_planes()))  # uint8 RGB24, as read
+        frame = scene._quantize_into(i, *scene._fresh_planes(1))[0]  # uint8 RGB24, as read
+        crop = roi.crop(frame)
         for sigma in VGA_SIGMAS:
             mask = canny(crop, CannyConfig(sigma=sigma))
             digest = hashlib.sha256(np.packbits(mask).tobytes()).hexdigest()
@@ -194,7 +202,9 @@ ONE_CPU_CHILD = """import os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from pathlib import Path
 import test_golden
-sys.stdout.write(test_golden.synth_digests(Path(sys.argv[1])))
+out = Path(sys.argv[1])
+sys.stdout.write(test_golden.synth_digests(out))
+test_golden.generate(test_golden.SynthConfig(**test_golden.RUNS_RECORDING), out / "runs")
 """
 
 
@@ -202,10 +212,15 @@ sys.stdout.write(test_golden.synth_digests(Path(sys.argv[1])))
 def test_synth_files_match_golden_on_one_cpu(tmp_path):
     paths = (Path(rrvision.__file__).parents[1], Path(__file__).parent)  # rrvision, tests
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
-    proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, str(tmp_path)], env=env,
+    child = tmp_path / "child"
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, str(child)], env=env,
                           capture_output=True, encoding="utf-8", timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN_DIR / "synth_sha256.csv").read_text(encoding="utf-8")
+    cfg = SynthConfig(**RUNS_RECORDING)
+    assert cfg.frame_count >= 4 * _Scene(cfg).run_frames
+    here = generate(cfg, tmp_path / "here")
+    assert (child / "runs" / here.video_path.name).read_bytes() == here.video_path.read_bytes()
 
 
 def test_vga_edge_masks_match_golden():

@@ -324,4 +324,4 @@ class TestSynthRoundTrip:
         decoded = list(stream)
         assert len(decoded) == 30
         for i, frame in enumerate(decoded):
-            assert np.array_equal(frame, scene._quantize_into(i, *scene._fresh_planes()))
+            assert np.array_equal(frame, scene._quantize_into(i, *scene._fresh_planes(1))[0])

@@ -181,7 +181,7 @@ class TestRenderedMotionOracle:
         lo = int(np.floor(g.boundary_y - cfg.amplitude_px - 1))
         hi = int(np.ceil(g.boundary_y + cfg.amplitude_px + 1))
         for i in range(cfg.frame_count):
-            col = scene._render_into(i, scene._fresh_planes()[0])[:, mid]
+            col = scene._render_into(i, scene._fresh_planes(1)[0])[0][:, mid]
             grad = np.abs(np.diff(col))[lo:hi]
             pos = np.arange(lo, hi) + 0.5
             centroid = (grad * pos).sum() / grad.sum()
@@ -190,15 +190,15 @@ class TestRenderedMotionOracle:
     def test_illumination_drift_shifts_levels_linearly(self):
         cfg = small_cfg(noise_sigma=0.0, illum_drift=10.0, duration_s=1.0, amplitude_px=0.0)
         scene = _Scene(cfg)
-        a = scene._render_into(0, scene._fresh_planes()[0])
-        b = scene._render_into(15, scene._fresh_planes()[0])  # 0.5 s later -> +5 intensity
+        a = scene._render_into(0, scene._fresh_planes(1)[0])
+        b = scene._render_into(15, scene._fresh_planes(1)[0])  # 0.5 s later -> +5 intensity
         assert b - a == pytest.approx(np.full_like(a, 5.0), abs=1e-9)
 
 
 class TestKeptPlanes:
     def test_renders_own_their_planes(self):
         scene = _Scene(small_cfg(pixel_format="RGB24"))
-        planes = [p for _ in range(3) for p in scene._fresh_planes()]
+        planes = [p for _ in range(3) for p in scene._fresh_planes(scene.run_frames)]
         assert not any(np.shares_memory(p, q) for i, p in enumerate(planes) for q in planes[:i])
 
     @pytest.mark.parametrize("pixel_format", ["RGB24", "GRAY8"])
@@ -211,26 +211,31 @@ class TestKeptPlanes:
         scene = _Scene(SynthConfig(width=640, height=480, duration_s=1.0, noise_sigma=2.0,
                                    pixel_format=pixel_format, walk_row_frac=0.05,
                                    walk_amplitude=10.0, illum_drift=1.0))
-        slots = scene._fresh_planes(), scene._fresh_planes()
+        slots = scene._fresh_planes(1), scene._fresh_planes(1)
         with open(os.devnull, "wb") as fh:
             peaks = [traced_peak(lambda: fh.write(scene._quantize_into(i, *slots[i % 2])))[1]
                      for i in range(5)][2:]
         assert max(peaks) < 480 * 640, peaks
 
-
     @pytest.mark.parametrize("overrides", [
+        # 60 frames; the jump at frame 30 falls inside a run of 7, of 16 and of all
         dict(pixel_format="RGB24", walk_row_frac=0.2, walk_amplitude=10.0, illum_drift=3.0,
              roi_jump_at_s=1.0),
         dict(pixel_format="GRAY8", noise_sigma=0.0),
-    ], ids=["RGB24-walk-drift-jump", "GRAY8-noise0"])
-    def test_frame_bytes_depend_on_the_index_alone(self, overrides):
-        """Frames rendered backwards through alternating slots equal frames rendered forwards."""
+        # 25 frames: a short last run at every length but 1 and the whole recording
+        dict(pixel_format="GRAY8", fps=12.5, illum_drift=-2.0),
+    ], ids=["RGB24-walk-drift-jump", "GRAY8-noise0", "12.5fps"])
+    def test_frame_bytes_do_not_depend_on_the_run(self, overrides):
+        """Frames rendered in runs of any length through one slot equal frames rendered alone."""
         scene = _Scene(small_cfg(**overrides))
         n = scene.cfg.frame_count
-        slots = scene._fresh_planes(), scene._fresh_planes()
-        forward = [scene._quantize_into(i, *slots[0]).copy() for i in range(n)]
-        for k, i in enumerate(reversed(range(n))):
-            assert np.array_equal(scene._quantize_into(i, *slots[k % 2]), forward[i]), i
+        alone = [scene._quantize_into(i, *scene._fresh_planes(1))[0] for i in range(n)]
+        for run in (1, 2, 7, scene.run_frames, n):
+            plane, out = scene._fresh_planes(run)
+            for start in range(0, n, run):
+                frames = scene._quantize_into(start, plane[: n - start], out[: n - start])
+                for k, frame in enumerate(frames):
+                    assert np.array_equal(frame, alone[start + k]), (run, start + k)
 
     def test_vga_generate_traces_under_three_float_planes(self, tmp_path):
         """Bytes traced by a whole 1 s 640x480 RGB24 generate, the worker thread's included.
@@ -243,12 +248,23 @@ class TestKeptPlanes:
         _, peak = traced_peak(lambda: generate(cfg, tmp_path / "rec"))
         assert peak < 3 * 480 * 640 * 8, peak
 
+    def test_corpus_generate_traces_under_three_vga_float_planes(self, tmp_path):
+        """Bytes traced by a whole 30 s 160x120 GRAY8 generate, as the benchmark corpus renders.
+
+        Its two 16-frame slots hold 5.5 MB; runs of 20 frames would reach the VGA bound.
+        """
+        generate(small_cfg(duration_s=0.1), tmp_path / "warm")
+        cfg = small_cfg(duration_s=30.0)
+        _, peak = traced_peak(lambda: generate(cfg, tmp_path / "rec"))
+        assert peak < 3 * 480 * 640 * 8, peak
+
     def test_tracemalloc_sees_a_worker_threads_numpy_buffers(self):
         with ThreadPoolExecutor(max_workers=1) as pool:
             _, peak = traced_peak(lambda: pool.submit(np.ones, 10**6).result(timeout=60))
         assert peak >= 8 * 10**6, peak
 
-    @pytest.mark.parametrize("fail_at", [None, 0, 3])
+    # frame 20 is in a run the worker renders
+    @pytest.mark.parametrize("fail_at", [None, 0, 3, 20])
     def test_generate_leaves_no_thread_running(self, tmp_path, monkeypatch, fail_at):
         real_write_pnm = synth.write_pnm
 
@@ -259,7 +275,8 @@ class TestKeptPlanes:
 
         monkeypatch.setattr(synth, "write_pnm", write_pnm)
         before = set(threading.enumerate())
-        cfg = small_cfg(duration_s=0.5, container="images")
+        cfg = small_cfg(duration_s=2.0, container="images")
+        assert (cfg.frame_count, _Scene(cfg).run_frames) == (60, 16)  # the worker's: 16-31, 48-59
         if fail_at is None:
             generate(cfg, tmp_path / "rec")
         else:
